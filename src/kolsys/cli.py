@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import secrets
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -76,9 +76,13 @@ def fmt(x):
 
 
 def atomic_write(path, text):
-    """Write via a temp file in the target directory plus rename."""
+    """Write via a temp file in the target directory plus rename.
+
+    The file gets the mode a plain open() would give: 0o666 masked by the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kolsys-", suffix=".tmp")
+    tmp = os.path.join(directory, f".kolsys-{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

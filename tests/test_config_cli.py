@@ -1,7 +1,10 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from kolsys.cli import run
+from kolsys.cli import atomic_write, run
 from kolsys.config import ConfigError, parse_config
 
 FAST_CFG = """\
@@ -273,3 +276,17 @@ def test_no_temp_files_left(fast_cfg, tmp_path):
     run(["check", "--config", str(fast_cfg), "--out", str(out)])
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".kolsys-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_mode_follows_umask(tmp_path, umask):
+    target = tmp_path / "out.csv"
+    old = os.umask(umask)
+    try:
+        atomic_write(str(target), "a\n")
+        atomic_write(str(target), "b\n")       # replaces the first file
+    finally:
+        os.umask(old)
+    assert target.read_text() == "b\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    assert list(tmp_path.iterdir()) == [target]

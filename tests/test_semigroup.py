@@ -1,6 +1,11 @@
+import itertools
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin
 from kolsys.discretization import (
@@ -12,6 +17,8 @@ from kolsys.discretization import (
     grid_function_from_callable,
 )
 from kolsys.semigroup import (
+    SolveError,
+    ThetaStepper,
     Trajectory,
     cesaro_average,
     discrete_average,
@@ -57,6 +64,113 @@ def test_step_preserves_constants_neumann():
     op = assemble_scalar_operator(field, grid)
     u = np.full(grid.n_nodes, 3.7)
     assert np.allclose(step(op, u, dt=1e-2, theta=0.5), u, atol=1e-12)
+
+
+def test_step_nan_entry_raises():
+    # a NaN residual compares False against the tolerance, so it used to pass
+    field = exchange2_field()
+    grid = build_grid(1, 6.0, 41, "neumann")
+    op = assemble_system_operator(field, grid)
+    u = op.restrict(grid_function_from_callable(grid, tanh_gauss))
+    u[7] = np.nan
+    with pytest.raises(SolveError, match="non-finite state"):
+        step(op, u, dt=1e-2)
+
+
+def test_step_rejects_non_vector():
+    field = exchange2_field()
+    grid = build_grid(1, 6.0, 41, "neumann")
+    op = assemble_system_operator(field, grid)
+    u = op.restrict(grid_function_from_callable(grid, tanh_gauss))
+    with pytest.raises(ValueError, match="dof vector"):
+        step(op, np.stack([u, u], axis=1), dt=1e-2)
+
+
+def test_stepper_carries_read_only_state():
+    field = exchange2_field()
+    grid = build_grid(1, 6.0, 41, "neumann")
+    op = assemble_system_operator(field, grid)
+    u = op.restrict(grid_function_from_callable(grid, tanh_gauss))
+    stepper = ThetaStepper(op, 1e-2, 0.5)
+    x1 = stepper.step(u)
+    with pytest.raises(ValueError):
+        x1[0] = 0.0
+    x2 = stepper.step(x1)                       # reuses the carried B x1
+    fresh = ThetaStepper(op, 1e-2, 0.5).step(x1.copy())
+    assert np.array_equal(x2, fresh)
+    assert step(op, u, dt=1e-2).flags.writeable
+
+
+@pytest.mark.parametrize("theta", [0.5, 1 - 1e-7, 1.0])
+def test_evolve_bitwise_matches_textbook_loop(theta):
+    # u <- splu(I - theta dt A).solve((I + (1 - theta) dt A) @ u), bit for bit;
+    # at theta = 1 - 1e-7 a residual formed from B x alone reads ~1e-9 and
+    # would reject these exact solves
+    field = exchange2_field()
+    grid = build_grid(1, 6.0, 81, "neumann")
+    op = assemble_system_operator(field, grid)
+    f = grid_function_from_callable(grid, tanh_gauss)
+    dt = 1e-2
+    traj = evolve(op, f, t_final=0.4, dt=dt, theta=theta, store_every=1)
+    assert len(traj.snapshots) == 41
+
+    eye = sp.identity(op.matrix.shape[0], format="csr")
+    lu = spla.splu((eye - theta * dt * op.matrix).tocsc())
+    rhs_matrix = eye + (1.0 - theta) * dt * op.matrix
+    u = op.restrict(f)
+    for k, snap in enumerate(traj.snapshots[1:], start=1):
+        u = lu.solve(rhs_matrix @ u)
+        assert np.array_equal(snap.values, op.embed(u).values), f"step {k}"
+
+
+def _perturb_solves_from(monkeypatch, first_call):
+    """From the `first_call`-th direct solve on, return the true solution
+    perturbed by 1e-8 relative in a fixed random direction."""
+    real_direct = ThetaStepper._direct
+    calls = itertools.count(1)
+    rng = np.random.default_rng(3)
+
+    def direct(self):
+        lu = real_direct(self)
+
+        def solve(rhs):
+            x = lu.solve(rhs)
+            if next(calls) < first_call:
+                return x
+            w = rng.standard_normal(x.shape)
+            return x + 1e-8 * np.linalg.norm(x) / np.linalg.norm(w) * w
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(ThetaStepper, "_direct", direct)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 0.995, 1.0])
+def test_evolve_rejects_solution_off_by_1e8(monkeypatch, theta):
+    # negative control for the per-step residual check, on every product path:
+    # steps 1-29 are exact, step 30 and its direct retry are 1e-8 off
+    field = exchange2_field()
+    grid = build_grid(1, 6.0, 81, "neumann")
+    op = assemble_system_operator(field, grid)
+    f = grid_function_from_callable(grid, tanh_gauss)
+    _perturb_solves_from(monkeypatch, 30)
+    with pytest.raises(SolveError, match=r"residual \S+ exceeds 1e-10 at t = 0\.3$"):
+        evolve(op, f, t_final=0.5, dt=1e-2, theta=theta)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_explicit_euler_above_stability_limit_raises():
+    # h = 0.1, so dt = 0.1 is far above the explicit limit ~h^2 / 2
+    field = exchange2_field()
+    grid = build_grid(1, 6.0, 121, "neumann")
+    op = assemble_system_operator(field, grid)
+    f = grid_function_from_callable(grid, tanh_gauss)
+    dt = 0.1
+    with pytest.raises(SolveError, match="time step unstable") as err:
+        evolve(op, f, t_final=100.0, dt=dt, theta=0.0)
+    t = float(re.fullmatch(r"non-finite state at t = (\S+); .*", str(err.value)).group(1))
+    assert 0 < t < 100.0
+    assert abs(t / dt - round(t / dt)) < 1e-6
 
 
 def test_evolve_kernel_direction_is_fixed():
