@@ -170,19 +170,30 @@ def cmd_check(args):
     return 0 if all(r.status == "pass" for r in records) else 1
 
 
+def _node_cells(grid):
+    """The `node_index,x1[,x2]` cells of every node, formatted once."""
+    return [",".join([str(idx)] + list(map(repr, x)))
+            for idx, x in enumerate(grid.nodes.tolist())]
+
+
+def _rows(prefixes, values):
+    """CSV lines, joined: each prefix followed by its row of `values` (N, k),
+    the numbers written as `fmt` writes them."""
+    return "\n".join(f"{head},{','.join(map(repr, row))}"
+                     for head, row in zip(prefixes, values.tolist()))
+
+
 def _trajectory_csv(traj):
     grid = traj.grid
     m = traj.m
     coord_cols = ["x1"] if grid.d == 1 else ["x1", "x2"]
     header = ["t", "node_index"] + coord_cols + [f"u_{k + 1}" for k in range(m)]
-    lines = [",".join(header)]
+    blocks = [",".join(header)]
+    nodes = _node_cells(grid)
     for t, snap in zip(traj.times, traj.snapshots):
-        for idx in range(grid.n_nodes):
-            cells = [fmt(t), str(idx)]
-            cells += [fmt(c) for c in grid.nodes[idx]]
-            cells += [fmt(snap.values[k, idx]) for k in range(m)]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        t_cell = fmt(t)
+        blocks.append(_rows((f"{t_cell},{cells}" for cells in nodes), snap.values.T))
+    return "\n".join(blocks) + "\n"
 
 
 def cmd_simulate(args):
@@ -226,13 +237,11 @@ def cmd_measure(args):
             raise ConfigError("--oracle requires d = 1")
         oracle = oracle_density_1d(field, grid)
         header += ["rho_oracle", "diff"]
-    lines = [",".join(header)]
-    for idx in range(grid.n_nodes):
-        cells = [str(idx)] + [fmt(c) for c in grid.nodes[idx]] + [fmt(mu.rho[idx])]
-        if oracle is not None:
-            cells += [fmt(oracle.rho[idx]), fmt(mu.rho[idx] - oracle.rho[idx])]
-        lines.append(",".join(cells))
-    atomic_write(_out_path(args, cfg, "density.csv"), "\n".join(lines) + "\n")
+    columns = [mu.rho]
+    if oracle is not None:
+        columns += [oracle.rho, mu.rho - oracle.rho]
+    text = ",".join(header) + "\n" + _rows(_node_cells(grid), np.column_stack(columns)) + "\n"
+    atomic_write(_out_path(args, cfg, "density.csv"), text)
     return 0
 
 
@@ -373,7 +382,7 @@ def _suite_asymptotic(cfg, field):
     traj_b = evolve(op, fb, t_final, dt=dt, theta=theta, store_every=store_every)
     spec = _sample_spec(cfg)
     bundle = derivative_bundle(field)
-    mu0 = min(bundle.mu_q(x) for x in spec.points(field.dim_d)[::4])
+    mu0 = float(np.min(bundle.mu_q(spec.points(field.dim_d)[::4])))
     reports.append(verify_l2_gradient_decay(traj_b, mu, mu0=mu0))
 
     # Cesaro consistency: at integer t the running average of the semigroup

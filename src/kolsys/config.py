@@ -50,10 +50,6 @@ class RunConfig:
         if name not in self.sections:
             raise ConfigError(f"missing required section [{name}]")
 
-    def _raw(self, section, key, default):
-        entry = self.sections.get(section, {}).get(key)
-        return default if entry is None else entry
-
     def get_str(self, section, key, default=None):
         entry = self.sections.get(section, {}).get(key)
         return default if entry is None else entry[0]

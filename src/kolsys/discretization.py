@@ -13,6 +13,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 
+from kolsys.coefficients import evaluate
+
 BOUNDARY_KINDS = ("dirichlet", "neumann")
 
 
@@ -168,114 +170,65 @@ class DiscreteOperator:
         return self.matrix[k * n:(k + 1) * n, l * n:(l + 1) * n]
 
 
-def _scalar_stencil_entries(field, grid):
-    """COO entries of the scalar operator Tr(Q D^2) + <b, grad>.
+def _scalar_stencil_entries(Q, b, grid, dof):
+    """Sparse matrix of the scalar operator Tr(Q D^2) + <b, grad> on the dof
+    rows, from Q and b at the dof nodes.
 
     Neumann boundaries use second-order ghost elimination: the ghost node
     obtained by stepping outside is reflected back inside, which encodes a
     vanishing normal derivative at the boundary node.  Dirichlet keeps
     interior rows only and drops boundary-neighbor contributions.
+
+    Entries form one (N, K) slot table: per node, up, down and centre along
+    each axis, then the four cross terms; zero slots are dropped.
     """
-    n = grid.n_per_axis
-    h = grid.h
-    d = grid.d
-    dirichlet = grid.boundary_kind == "dirichlet"
-
-    rows, cols, vals = [], [], []
-
-    def reflect(i):
-        if i == -1:
-            return 1
-        if i == n:
-            return n - 2
-        return i
-
-    def on_boundary(multi):
-        return any(i == 0 or i == n - 1 for i in multi)
-
-    def flat(multi):
-        if d == 1:
-            return multi[0]
-        return multi[0] * n + multi[1]
-
-    def add(row_multi, col_multi, v):
-        if v == 0.0:
-            return
-        if dirichlet:
-            if on_boundary(col_multi):
-                return                      # zero extension
-            rows.append(flat(row_multi))
-            cols.append(flat(col_multi))
-        else:
-            col = tuple(reflect(i) for i in col_multi)
-            rows.append(flat(row_multi))
-            cols.append(flat(col))
-        vals.append(v)
-
+    n, h, d = grid.n_per_axis, grid.h, grid.d
     inv_h2 = 1.0 / (h * h)
     inv_2h = 1.0 / (2.0 * h)
+    offsets, vals = [], []
+    for axis_i, unit in enumerate(np.eye(d, dtype=int)):
+        q, bi = Q[:, axis_i, axis_i], b[:, axis_i]
+        offsets += [unit, -unit, 0 * unit]
+        vals += [q * inv_h2 + bi * inv_2h, q * inv_h2 - bi * inv_2h, -2.0 * q * inv_h2]
+    if d == 2:
+        c = 2.0 * Q[:, 0, 1] / (4.0 * h * h)   # Tr picks up q12 twice
+        offsets += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        vals += [c, -c, -c, c]
+    vals = np.stack(vals, axis=1)
+    cols = np.stack(np.unravel_index(dof, grid.shape), axis=-1)[:, None, :] + np.array(offsets)
+    if grid.boundary_kind == "neumann":
+        cols = np.where(cols == -1, 1, np.where(cols == n, n - 2, cols))
+    cols = np.ravel_multi_index(tuple(np.moveaxis(cols, -1, 0)), grid.shape)
+    rows = np.broadcast_to(dof[:, None], cols.shape)
+    keep = vals != 0.0
+    mat = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n ** d, n ** d)).tocsr()
+    if grid.boundary_kind == "dirichlet":
+        mat = mat[dof][:, dof]              # zero extension drops the boundary columns
+    return mat
 
-    if d == 1:
-        it = ((i,) for i in range(n))
-    else:
-        it = ((i, j) for i in range(n) for j in range(n))
 
-    for multi in it:
-        if dirichlet and on_boundary(multi):
-            continue
-        x = grid.nodes[flat(multi)]
-        Q = np.atleast_2d(field.Q(x))
-        b = np.atleast_1d(field.b(x))
-        if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(b))):
-            raise ValueError(f"coefficient evaluation failed at node {x}")
-        for axis_i in range(d):
-            q = Q[axis_i, axis_i]
-            bi = b[axis_i]
-            up = list(multi); up[axis_i] += 1
-            dn = list(multi); dn[axis_i] -= 1
-            add(multi, tuple(up), q * inv_h2 + bi * inv_2h)
-            add(multi, tuple(dn), q * inv_h2 - bi * inv_2h)
-            add(multi, multi, -2.0 * q * inv_h2)
-        if d == 2:
-            q12 = Q[0, 1]
-            if q12 != 0.0:
-                c = 2.0 * q12 / (4.0 * h * h)   # Tr picks up q12 twice
-                i, j = multi
-                add(multi, (i + 1, j + 1), c)
-                add(multi, (i + 1, j - 1), -c)
-                add(multi, (i - 1, j + 1), -c)
-                add(multi, (i - 1, j - 1), c)
-
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n ** d, n ** d)).tocsr()
-    if dirichlet:
-        keep = grid.interior_indices()
-        mat = mat[keep][:, keep]
-        dof = keep
-    else:
-        dof = np.arange(n ** d)
-    return mat, dof
+def _assemble(field, grid):
+    """Dof indices, the scalar stencil on them and C at the dof nodes, from one
+    evaluation of the field."""
+    if grid.d != field.dim_d:
+        raise ValueError("grid dimension does not match the field")
+    dof = grid.interior_indices() if grid.boundary_kind == "dirichlet" \
+        else np.arange(grid.n_nodes)
+    Q, b, C = evaluate(field, grid.nodes[dof])
+    return dof, _scalar_stencil_entries(Q, b, grid, dof), C
 
 
 def assemble_scalar_operator(field, grid) -> DiscreteOperator:
     """Finite-difference matrix for the scalar operator (no coupling)."""
-    if grid.d != field.dim_d:
-        raise ValueError("grid dimension does not match the field")
-    mat, dof = _scalar_stencil_entries(field, grid)
+    dof, mat, _ = _assemble(field, grid)
     return DiscreteOperator(matrix=mat, grid=grid, m=1,
                             boundary_kind=grid.boundary_kind, dof_indices=dof)
 
 
 def assemble_system_operator(field, grid) -> DiscreteOperator:
     """Block operator: m copies of the scalar stencil plus node-diagonal coupling."""
-    if grid.d != field.dim_d:
-        raise ValueError("grid dimension does not match the field")
-    a0, dof = _scalar_stencil_entries(field, grid)
+    dof, a0, c_nodes = _assemble(field, grid)
     m = field.dim_m
-    c_nodes = np.empty((len(dof), m, m))
-    for row, idx in enumerate(dof):
-        c_nodes[row] = field.C(grid.nodes[idx])
-    if not np.all(np.isfinite(c_nodes)):
-        raise ValueError("coupling evaluation failed at a node")
     blocks = [[None] * m for _ in range(m)]
     for k in range(m):
         for l in range(m):
@@ -296,7 +249,7 @@ def assemble_adjoint_operator(field, grid) -> DiscreteOperator:
     """
     dgrid = grid if grid.boundary_kind == "dirichlet" else \
         build_grid(grid.d, grid.L, grid.n_per_axis, "dirichlet")
-    mat, dof = _scalar_stencil_entries(field, dgrid)
+    dof, mat, _ = _assemble(field, dgrid)
     return DiscreteOperator(matrix=mat.T.tocsr(), grid=grid, m=1,
                             boundary_kind="dirichlet", dof_indices=dof,
                             meta={"adjoint": True})

@@ -8,7 +8,6 @@ matrices, the vector spanning the fixed-point space of the semigroup.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from kolsys.coefficients import CoefficientField, derivative_bundle
+from kolsys.coefficients import CoefficientField, derivative_bundle, evaluate, libm_pow, rowdot
 from kolsys.reports import CheckRecord, HypothesisReport, PropertyReport, Witness
 
 _EQ_TOL = 1e-12
@@ -109,6 +108,12 @@ def irreducibility_graph(pattern):
     return False, np.flatnonzero(labels == labels[0]).tolist()  # pragma: no cover
 
 
+def _norm(a, n_axes=1):
+    """np.linalg.norm of each vector (n_axes = 1) or matrix (2) on the last axes."""
+    flat = a.reshape(a.shape[:a.ndim - n_axes] + (-1,))
+    return np.sqrt(rowdot(flat, flat))
+
+
 def check_hypotheses(field: CoefficientField, sample_spec=None) -> HypothesisReport:
     """Certify ellipticity, coupling dissipativity, off-diagonal sign and
     irreducibility on the sample set."""
@@ -118,22 +123,13 @@ def check_hypotheses(field: CoefficientField, sample_spec=None) -> HypothesisRep
         raise ValueError("empty sample set")
     m = field.dim_m
 
-    mu_vals = np.empty(len(pts))
-    sym_eig = np.empty(len(pts))
-    offdiag_min = np.empty(len(pts))
-    pattern_max = np.zeros((m, m))
-    c_scale = 0.0
-    for i, x in enumerate(pts):
-        Q = field.Q(x)
-        C = field.C(x)
-        if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(C))):
-            raise ValueError(f"NaN coefficient evaluation at {x}")
-        mu_vals[i] = np.min(np.linalg.eigvalsh(Q))
-        sym_eig[i] = np.max(np.linalg.eigvalsh(0.5 * (C + C.T)))
-        off = C - np.diag(np.diag(C))
-        offdiag_min[i] = np.min(off + np.diag(np.full(m, np.inf)))
-        pattern_max = np.maximum(pattern_max, np.abs(C))
-        c_scale = max(c_scale, float(np.linalg.norm(C)))
+    Q, _, C = evaluate(field, pts)
+    mu_vals = np.min(np.linalg.eigvalsh(Q), axis=-1)
+    sym_eig = np.max(np.linalg.eigvalsh(0.5 * (C + np.swapaxes(C, -1, -2))), axis=-1)
+    # the diagonal is masked with +inf; adding 0.0 elsewhere turns -0.0 into 0.0
+    offdiag_min = np.min(C + np.where(np.eye(m, dtype=bool), np.inf, 0.0), axis=(-2, -1))
+    pattern_max = np.max(np.abs(C), axis=0)
+    c_scale = float(np.max(_norm(C, 2)))
 
     records = []
 
@@ -182,11 +178,11 @@ def compute_common_kernel(field: CoefficientField, sample_spec=None,
     """
     spec = sample_spec or SampleSpec()
     pts = spec.points(field.dim_d)
-    mats = [field.C(x) for x in pts]
-    c_scale = max(float(np.linalg.norm(C)) for C in mats)
+    mats = evaluate(field, pts)[2]
+    c_scale = float(np.max(_norm(mats, 2)))
     if kernel_tol is None:
         kernel_tol = 1e-10 * max(1.0, c_scale)
-    stacked = np.vstack(mats)
+    stacked = mats.reshape(-1, field.dim_m)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     if svals[-1] > kernel_tol:
         raise ValueError(
@@ -202,7 +198,7 @@ def compute_common_kernel(field: CoefficientField, sample_spec=None,
         raise ValueError("kernel vector has entries of both signs; "
                          "coupling violates the standing sign assumptions")
     xi = xi / np.linalg.norm(xi)
-    residual = max(float(np.linalg.norm(C @ xi)) for C in mats)
+    residual = float(np.max(_norm(mats @ xi)))
     return KernelVector(xi=xi, residual=residual, sample_count=len(pts))
 
 
@@ -213,17 +209,14 @@ def _phi_and_generator(field, pts, sigma):
     """phi(x) = (1+|x|^2)^sigma and the scalar generator applied to it, analytically."""
     s = np.sum(pts * pts, axis=1)
     phi = (1.0 + s) ** sigma
-    a_phi = np.empty(len(pts))
-    for i, x in enumerate(pts):
-        Q = np.atleast_2d(field.Q(x))
-        b = np.atleast_1d(field.b(x))
-        si = 1.0 + float(np.dot(x, x))
-        grad_fac = 2.0 * sigma * si ** (sigma - 1.0)
-        trace_term = grad_fac * np.trace(Q) \
-            + 4.0 * sigma * (sigma - 1.0) * si ** (sigma - 2.0) * float(x @ Q @ x)
-        drift_term = grad_fac * float(np.dot(b, x))
-        a_phi[i] = trace_term + drift_term
-    return phi, a_phi
+    Q, b, _ = evaluate(field, pts)
+    si = 1.0 + rowdot(pts, pts)
+    grad_fac = 2.0 * sigma * libm_pow(si, sigma - 1.0)
+    xqx = ((pts[:, None, :] @ Q) @ pts[:, :, None])[:, 0, 0]
+    trace_term = grad_fac * np.trace(Q, axis1=-2, axis2=-1) \
+        + 4.0 * sigma * (sigma - 1.0) * libm_pow(si, sigma - 2.0) * xqx
+    drift_term = grad_fac * rowdot(b, pts)
+    return phi, trace_term + drift_term
 
 
 @dataclass
@@ -311,13 +304,10 @@ def check_growth(field: CoefficientField, phi_exponent, sample_spec=None) -> Gro
     s = np.sum(pts * pts, axis=1)
     denom = (1.0 + s) ** (sigma + 1.0)
 
-    q_ratio = np.empty(len(pts))
-    b_ratio = np.empty(len(pts))
-    for i, x in enumerate(pts):
-        Q = np.atleast_2d(field.Q(x))
-        b = np.atleast_1d(field.b(x))
-        q_ratio[i] = np.max(np.abs(Q)) / denom[i]
-        b_ratio[i] = max(float(np.dot(b, x)), 0.0) / denom[i]
+    Q, b, _ = evaluate(field, pts)
+    q_ratio = np.max(np.abs(Q), axis=(-2, -1)) / denom
+    bx = rowdot(b, pts)
+    b_ratio = np.where(0.0 > bx, 0.0, bx) / denom       # max(bx, 0.0), keeping -0.0
 
     ok = _sup_trend_ok(q_ratio, ann, spec.n_annuli) and \
         _sup_trend_ok(b_ratio, ann, spec.n_annuli)
@@ -370,34 +360,28 @@ def estimate_kp(field: CoefficientField, p, sample_spec=None, constants=None) ->
     sups, ratios = {}, {}
     if not second_order:
         cp = float(constants["c_p"])
-        vals = np.empty(len(pts))
-        for i, x in enumerate(pts):
-            mu = bundle.mu_q(x)
-            vals[i] = bundle.r(x) + (1.0 - p) * mu \
-                + bundle.q1(x) ** 2 / (4.0 * (p - 1.0) * mu) + cp * bundle.c1(x) ** 2
+        mu = bundle.mu_q(pts)
+        vals = bundle.r(pts) + (1.0 - p) * mu \
+            + libm_pow(bundle.q1(pts), 2) / (4.0 * (p - 1.0) * mu) \
+            + cp * libm_pow(bundle.c1(pts), 2)
         sups["K_p"] = float(vals.max())
         trend_ok = _sup_trend_ok(vals, ann, spec.n_annuli)
     else:
         c1p, c2p, c3p = (float(constants[k]) for k in ("c_1p", "c_2p", "c_3p"))
         c4p, c5p, c6p = (float(constants[k]) for k in ("c_4p", "c_5p", "c_6p"))
-        v1 = np.empty(len(pts))
-        v2 = np.empty(len(pts))
-        rq, rqx, rb = np.empty(len(pts)), np.empty(len(pts)), np.empty(len(pts))
-        for i, x in enumerate(pts):
-            mu = bundle.mu_q(x)
-            r = bundle.r(x)
-            q1sq = bundle.q1(x) ** 2
-            b2 = bundle.b2(x)
-            v1[i] = r - c3p * mu + c1p * bundle.c1(x) ** 2 \
-                + 1.5 * q1sq / ((p - 1.0) * mu) + c2p * b2
-            v2[i] = 2.0 * r - c6p * mu + c4p * b2 + c5p * bundle.c2(x) ** 2 \
-                + 4.0 * q1sq / ((p - 1.0) * mu) + bundle.q2(x)
-            Q = np.atleast_2d(field.Q(x))
-            b = np.atleast_1d(field.b(x))
-            den = (1.0 + float(np.dot(x, x))) * mu
-            rq[i] = np.linalg.norm(Q) / den
-            rqx[i] = np.linalg.norm(Q @ x) / den
-            rb[i] = float(np.dot(b, x)) / den
+        mu = bundle.mu_q(pts)
+        r = bundle.r(pts)
+        q1sq = libm_pow(bundle.q1(pts), 2)
+        b2 = bundle.b2(pts)
+        v1 = r - c3p * mu + c1p * libm_pow(bundle.c1(pts), 2) \
+            + 1.5 * q1sq / ((p - 1.0) * mu) + c2p * b2
+        v2 = 2.0 * r - c6p * mu + c4p * b2 + c5p * libm_pow(bundle.c2(pts), 2) \
+            + 4.0 * q1sq / ((p - 1.0) * mu) + bundle.q2(pts)
+        Q, b, _ = evaluate(field, pts)
+        den = (1.0 + rowdot(pts, pts)) * mu
+        rq = _norm(Q, 2) / den
+        rqx = _norm(Q @ pts[:, :, None], 2) / den
+        rb = rowdot(b, pts) / den
         sups["K_1p"] = float(v1.max())
         sups["K_2p"] = float(v2.max())
         ratios = {"q_over_phi_mu": float(rq.max()),
@@ -419,8 +403,9 @@ def spectral_check_C(field: CoefficientField, sample_points,
     worst_angle = 0.0
     worst_imag_on_axis = 0.0
     witness = None
-    for x in pts:
-        C = field.C(x)
+    # one evaluation; the eigen and kernel work stays per point for the
+    # first-failure exit
+    for x, C in zip(pts, evaluate(field, pts)[2]):
         scale = max(1.0, float(np.linalg.norm(C)))
         try:
             eig = np.linalg.eigvals(C)
@@ -458,9 +443,3 @@ def spectral_check_C(field: CoefficientField, sample_points,
                                    "imag_on_axis": worst_imag_on_axis,
                                    "n_points": len(pts)})
 
-
-def enumerate_subsets(m):
-    """All proper nonempty subsets of {0..m-1}; helper for tests."""
-    items = list(range(m))
-    for size in range(1, m):
-        yield from itertools.combinations(items, size)

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from kolsys.coefficients import (
     BuiltinFamily,
+    CoefficientField,
     derivative_bundle,
     evaluate,
     finite_difference_jacobian,
+    libm_pow,
     make_builtin,
+    rowdot,
 )
 
 
@@ -169,3 +172,79 @@ def test_second_order_magnitudes_1d():
     assert bundle.q2([1.0]) == 0.0
     assert bundle.b2([1.0]) == pytest.approx(6.0, rel=1e-12)
     assert bundle.mu_q([2.0]) == pytest.approx(1.0)
+
+
+def test_batch_with_nan_point_names_it():
+    field = make_builtin(family_1d())
+    pts = np.array([[0.0], [1.5], [np.nan], [2.0]])
+    with pytest.raises(ValueError, match=r"non-finite evaluation point \(nan,\)"):
+        field.Q(pts)
+    field2 = make_builtin(BuiltinFamily(dim_d=2, dim_m=2, gamma=0.0, beta=1.0, b0=1.0,
+                                        Q0=np.eye(2)))
+    pts = np.array([[0.0, 1.0], [-0.25, np.inf]])
+    with pytest.raises(ValueError, match=r"non-finite evaluation point \(-0\.25, inf\)"):
+        evaluate(field2, pts)
+
+
+def test_batch_with_wrong_last_axis_rejected():
+    field = make_builtin(BuiltinFamily(dim_d=2, dim_m=2, gamma=0.0, beta=1.0, b0=1.0,
+                                       Q0=np.eye(2)))
+    for bad in (np.zeros((5, 3)), np.zeros((2, 5)), np.zeros(3)):
+        with pytest.raises(ValueError, match="expected points in R\\^2"):
+            field.C(bad)
+        with pytest.raises(ValueError, match="expected points in R\\^2"):
+            evaluate(field, bad)
+
+
+def test_from_pointwise_keeps_single_point_meaning():
+    field = CoefficientField.from_pointwise(
+        1, 2, lambda x: 2.0, lambda x: -x, lambda x: np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    assert field.Q(0.3).shape == (1, 1) and field.Q([0.3])[0, 0] == 2.0
+    Q, b, C = evaluate(field, np.linspace(-1, 1, 5)[:, None])
+    assert Q.shape == (5, 1, 1) and b.shape == (5, 1) and C.shape == (5, 2, 2)
+    assert np.array_equal(b[:, 0], -np.linspace(-1, 1, 5))
+
+
+EVALUATORS = ("Q", "b", "C", "dQ", "jac_b", "dC", "d2Q", "d2b", "d2C")
+BUNDLE_VALUES = ("r", "mu_q", "q1", "c1", "q2", "c2", "b2")
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]),
+       gamma=st.sampled_from([0.0, 1.0, 2.0, 0.7, 1.5]),
+       beta=st.sampled_from([0.0, 1.0, 2.0, 0.4]),
+       kind=st.sampled_from(["exchange2", "zeta3", "constant_matrix"]),
+       seed=st.integers(0, 2 ** 16))
+def test_batched_evaluation_equals_single_points(d, gamma, beta, kind, seed):
+    m = 3 if kind == "zeta3" else 2
+    C0 = np.array([[-1.0, 0.5], [0.5, -1.0]]) if kind == "constant_matrix" else None
+    Q0 = np.eye(1) if d == 1 else np.array([[2.0, 0.5], [0.5, 1.0]])
+    field = make_builtin(BuiltinFamily(dim_d=d, dim_m=m, gamma=gamma, beta=beta, b0=1.3,
+                                       Q0=Q0, coupling_kind=kind, C0=C0))
+    bundle = derivative_bundle(field)
+    pts = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(3, 4, d))
+    pts[0, 0] = 0.0
+    for name in EVALUATORS + BUNDLE_VALUES:
+        fn = getattr(field, name) if name in EVALUATORS else getattr(bundle, name)
+        batch = fn(pts)
+        single = np.array([[fn(x) for x in row] for row in pts])
+        assert batch.shape == single.shape, name
+        assert np.array_equal(batch, single), name
+        assert np.array_equal(np.signbit(batch), np.signbit(single)), name
+
+
+def test_libm_pow_matches_python_float_pow():
+    # numpy's vectorized power rounds differently for a few percent of these
+    base = 1.0 + np.random.default_rng(3).uniform(0.0, 72.0, 2000)
+    for p in (0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.7):
+        assert np.array_equal(libm_pow(base, p), [v ** p for v in base.tolist()])
+
+
+def test_rowdot_matches_np_dot_bitwise():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3):
+        u, v = rng.uniform(-6, 6, (50, d)), rng.uniform(-6, 6, (50, d))
+        u[0], v[0] = -0.0, 0.0
+        want = np.array([np.dot(a, b) for a, b in zip(u, v)])
+        got = rowdot(u, v)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

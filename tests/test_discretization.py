@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin
 from kolsys.discretization import (
@@ -16,7 +17,7 @@ def custom_field(d=1, m=1, q=None, b=None, C=None):
     q = q or (lambda x: np.eye(d))
     b = b or (lambda x: np.zeros(d))
     C = C or (lambda x: np.zeros((m, m)))
-    return CoefficientField(dim_d=d, dim_m=m, Q=q, b=b, C=C)
+    return CoefficientField.from_pointwise(d, m, q, b, C)
 
 
 def exchange2_field():
@@ -188,3 +189,130 @@ def test_restrict_embed_roundtrip():
     back = op.embed(op.restrict(f))
     assert np.allclose(back.values[:, op.dof_indices], f.values[:, op.dof_indices])
     assert np.all(back.values[:, grid.boundary_mask()] == 0.0)
+
+
+def reference_system_matrix(field, grid, m=None):
+    """Node-by-node assembly, one field evaluation per node: the oracle for the
+    slot-table assembler.  With m = None only the scalar stencil is built."""
+    n, h, d = grid.n_per_axis, grid.h, grid.d
+    dirichlet = grid.boundary_kind == "dirichlet"
+    rows, cols, vals = [], [], []
+
+    def reflect(i):
+        return 1 if i == -1 else n - 2 if i == n else i
+
+    def on_boundary(multi):
+        return any(i == 0 or i == n - 1 for i in multi)
+
+    def flat(multi):
+        return multi[0] if d == 1 else multi[0] * n + multi[1]
+
+    def add(row_multi, col_multi, v):
+        if v == 0.0:
+            return
+        if dirichlet:
+            if on_boundary(col_multi):
+                return
+            col = col_multi
+        else:
+            col = tuple(reflect(i) for i in col_multi)
+        rows.append(flat(row_multi))
+        cols.append(flat(col))
+        vals.append(v)
+
+    inv_h2, inv_2h = 1.0 / (h * h), 1.0 / (2.0 * h)
+    it = ((i,) for i in range(n)) if d == 1 else ((i, j) for i in range(n) for j in range(n))
+    for multi in it:
+        if dirichlet and on_boundary(multi):
+            continue
+        x = grid.nodes[flat(multi)]
+        Q, b = field.Q(x), field.b(x)
+        for axis_i in range(d):
+            q, bi = Q[axis_i, axis_i], b[axis_i]
+            up = list(multi); up[axis_i] += 1
+            dn = list(multi); dn[axis_i] -= 1
+            add(multi, tuple(up), q * inv_h2 + bi * inv_2h)
+            add(multi, tuple(dn), q * inv_h2 - bi * inv_2h)
+            add(multi, multi, -2.0 * q * inv_h2)
+        if d == 2 and Q[0, 1] != 0.0:
+            c = 2.0 * Q[0, 1] / (4.0 * h * h)
+            i, j = multi
+            add(multi, (i + 1, j + 1), c)
+            add(multi, (i + 1, j - 1), -c)
+            add(multi, (i - 1, j + 1), -c)
+            add(multi, (i - 1, j - 1), c)
+
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n ** d, n ** d)).tocsr()
+    dof = grid.interior_indices() if dirichlet else np.arange(n ** d)
+    if dirichlet:
+        mat = mat[dof][:, dof]
+    if m is None:
+        return mat
+    c_nodes = np.array([field.C(grid.nodes[idx]) for idx in dof])
+    blocks = [[mat + sp.diags(c_nodes[:, k, l]) if k == l else sp.diags(c_nodes[:, k, l])
+               for l in range(m)] for k in range(m)]
+    return sp.bmat(blocks, format="csr")
+
+
+def assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype
+    assert np.array_equal(got.data, want.data)
+
+
+REFERENCE_CASES = [
+    # d, n, q12, gamma, beta, coupling kind, m
+    (1, 41, 0.0, 0.0, 1.0, "exchange2", 2),
+    (1, 41, 0.0, 1.0, 2.0, "zeta3", 3),
+    (1, 41, 0.0, 0.7, 0.5, "constant_matrix", 1),
+    (2, 11, 0.0, 0.0, 1.0, "exchange2", 2),
+    (2, 11, 0.5, 1.0, 1.0, "zeta3", 3),
+    (2, 11, 0.5, 0.5, 0.7, "constant_matrix", 1),
+    (2, 11, -0.3, 2.0, 0.0, "exchange2", 2),
+]
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("d,n,q12,gamma,beta,kind,m", REFERENCE_CASES)
+def test_assembly_matches_node_loop_reference(d, n, q12, gamma, beta, kind, m, boundary):
+    # every case matches bit for bit, non-integer exponents included: the
+    # batched field evaluates the same pow and BLAS dot per point
+    Q0 = np.eye(1) if d == 1 else np.array([[2.0, q12], [q12, 1.0]])
+    C0 = np.array([[-0.5]]) if kind == "constant_matrix" else None
+    field = make_builtin(BuiltinFamily(dim_d=d, dim_m=m, gamma=gamma, beta=beta, b0=1.0,
+                                       Q0=Q0, coupling_kind=kind, C0=C0))
+    grid = build_grid(d, 3.0, n, boundary)
+    assert_same_csr(assemble_scalar_operator(field, grid).matrix,
+                    reference_system_matrix(field, grid))
+    assert_same_csr(assemble_system_operator(field, grid).matrix,
+                    reference_system_matrix(field, grid, m))
+    dgrid = build_grid(d, 3.0, n, "dirichlet")
+    assert_same_csr(assemble_adjoint_operator(field, grid).matrix,
+                    reference_system_matrix(field, dgrid).T.tocsr())
+
+
+def test_from_pointwise_wrapper_assembles_the_builtin_matrix():
+    field = make_builtin(BuiltinFamily(dim_d=2, dim_m=2, gamma=1.0, beta=1.0, b0=1.0,
+                                       Q0=np.array([[2.0, 0.5], [0.5, 1.0]])))
+    wrapped = CoefficientField.from_pointwise(2, 2, field.Q, field.b, field.C)
+    for boundary in ("dirichlet", "neumann"):
+        grid = build_grid(2, 3.0, 15, boundary)
+        assert_same_csr(assemble_system_operator(wrapped, grid).matrix,
+                        assemble_system_operator(field, grid).matrix)
+
+
+def test_point_callables_without_wrapper_are_rejected():
+    # one-point callables ignore the batch axis; unwrapped they would broadcast
+    field = CoefficientField(dim_d=1, dim_m=1, Q=lambda x: np.eye(1),
+                             b=lambda x: np.zeros(1), C=lambda x: np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="from_pointwise"):
+        assemble_system_operator(field, build_grid(1, 2.0, 9, "neumann"))
+
+
+def test_nonfinite_coefficient_names_the_node():
+    field = CoefficientField.from_pointwise(
+        1, 1, lambda x: np.eye(1) * (np.inf if x[0] == 0.5 else 1.0), lambda x: np.zeros(1),
+        lambda x: np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=r"non-finite Q at \(0\.5,\)"):
+        assemble_scalar_operator(field, build_grid(1, 2.0, 9, "neumann"))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolsys.coefficients import BuiltinFamily, make_builtin
+from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin
 from kolsys.hypotheses import (
     SampleSpec,
     check_growth,
@@ -216,3 +216,14 @@ def test_checks_in_two_dimensions():
     kv = compute_common_kernel(field, spec)
     assert np.allclose(kv.xi, np.ones(3) / np.sqrt(3), atol=1e-10)
     assert check_lyapunov(field, 1.0, spec).passed
+
+
+def test_point_callables_without_wrapper_are_rejected():
+    def one_point(x):
+        return np.eye(2)
+    field = CoefficientField(dim_d=2, dim_m=2, Q=one_point, b=lambda x: np.zeros(2),
+                             C=lambda x: np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ValueError, match="from_pointwise"):
+        check_hypotheses(field, SPEC)
+    wrapped = CoefficientField.from_pointwise(2, 2, field.Q, field.b, field.C)
+    assert check_hypotheses(wrapped, SampleSpec(radius=2.0, n_per_axis=11)).passed

@@ -48,8 +48,8 @@ def test_step_zero_operator_is_identity():
 def test_step_implicit_euler_eigenvector():
     # u+ = v / (1 - dt * lambda) for an eigenvector v of the operator
     grid = build_grid(1, 2.0, 9, "dirichlet")
-    field = CoefficientField(dim_d=1, dim_m=1, Q=lambda x: np.eye(1),
-                             b=lambda x: np.zeros(1), C=lambda x: np.zeros((1, 1)))
+    field = CoefficientField.from_pointwise(1, 1, lambda x: np.eye(1),
+                                            lambda x: np.zeros(1), lambda x: np.zeros((1, 1)))
     op = assemble_scalar_operator(field, grid)
     lam, vecs = np.linalg.eigh(op.matrix.toarray())
     v = vecs[:, 0]
