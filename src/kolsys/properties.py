@@ -137,17 +137,18 @@ def verify_fixed_points(field: CoefficientField, grid, candidates, dt=1e-3,
                         fp_gap=0.1) -> PropertyReport:
     """Fixed candidates must return to themselves at t = 1; others must move.
 
-    `candidates` is a list of (GridFunction, expect_fixed) pairs; the kernel
-    direction is the only expected fixed point up to scale.
+    `candidates` is a list of (GridFunction, expect_fixed) pairs, evolved
+    together in one batched run; the kernel direction is the only expected
+    fixed point up to scale.
     """
     op = assemble_system_operator(field, grid)
+    trajs = evolve(op, [gf for gf, _ in candidates], t_final=t_check, dt=dt,
+                   theta=theta, store_times=[t_check]) if candidates else []
     worst_fixed = 0.0
     worst_gap = np.inf
     witness = None
     saw_moving = False
-    for gf, expect_fixed in candidates:
-        traj = evolve(op, gf, t_final=t_check, dt=dt, theta=theta,
-                      store_times=[t_check])
+    for (gf, expect_fixed), traj in zip(candidates, trajs):
         diff = np.max(np.abs(traj.snapshots[-1].values - gf.values))
         if expect_fixed:
             worst_fixed = max(worst_fixed, float(diff))
@@ -201,8 +202,25 @@ def estimate_gradient_rate(field: CoefficientField, f: GridFunction, p, k, h,
     R(t) * t^((k-h) p / 2) stays within `ratio_cap` of flat over the window.
     Only the bound direction is asserted; constants are informational.
     """
-    if k not in (1, 2) or not 0 <= h <= k:
-        raise ValueError("need k in {1,2} and 0 <= h <= k")
+    return estimate_gradient_rates(field, [(f, k, h, ratio_cap)], p, time_window=time_window,
+                                   r_obs=r_obs, dt=dt, theta=theta, n_samples=n_samples,
+                                   den_floor=den_floor)[0]
+
+
+def estimate_gradient_rates(field: CoefficientField, cases, p, time_window=(1e-3, 1e-1),
+                            r_obs=3.0, dt=1e-4, theta=0.5, n_samples=9,
+                            den_floor=1e-14) -> list:
+    """estimate_gradient_rate for each (f, k, h, ratio_cap) of `cases`, one grid.
+
+    Each distinct datum f (by identity) is evolved once, and so is each
+    distinct denominator (f, h): one batched run on the system operator and
+    one on the scalar operator.  Each fit equals its estimate_gradient_rate.
+    """
+    if not cases:
+        raise ValueError("no rate cases given")
+    for _, k, h, _ in cases:
+        if k not in (1, 2) or not 0 <= h <= k:
+            raise ValueError("need k in {1,2} and 0 <= h <= k")
     if p <= 1:
         raise ValueError("p must exceed 1")
     if n_samples < 8:
@@ -213,14 +231,22 @@ def estimate_gradient_rate(field: CoefficientField, f: GridFunction, p, k, h,
     if len(times) < 8:
         raise ValueError("dt too coarse to resolve the requested time window")
 
-    grid = f.grid
+    grid = cases[0][0].grid
     op_sys = assemble_system_operator(field, grid)
     op_scal = assemble_scalar_operator(field, grid)
-    traj = evolve(op_sys, f, t_final=times[-1], dt=dt, theta=theta, store_times=times)
-    g = GridFunction(grid, derivative_data(f, h) ** (p / 2.0))
-    traj_den = evolve(op_scal, g, t_final=times[-1], dt=dt, theta=theta,
-                      store_times=times)
+    data = {id(f): f for f, _, _, _ in cases}
+    dens = {(id(f), h): GridFunction(grid, derivative_data(f, h) ** (p / 2.0))
+            for f, _, h, _ in cases}
+    trajs = dict(zip(data, evolve(op_sys, list(data.values()), t_final=times[-1], dt=dt,
+                                  theta=theta, store_times=times)))
+    traj_dens = dict(zip(dens, evolve(op_scal, list(dens.values()), t_final=times[-1],
+                                      dt=dt, theta=theta, store_times=times)))
+    return [_rate_fit(trajs[id(f)], traj_dens[id(f), h], times, k, h, p, r_obs,
+                      ratio_cap, den_floor) for f, k, h, ratio_cap in cases]
 
+
+def _rate_fit(traj, traj_den, times, k, h, p, r_obs, ratio_cap, den_floor) -> RateFit:
+    grid = traj.grid
     window = grid.window_mask(r_obs)
     values = []
     excluded = 0

@@ -5,6 +5,12 @@ A theta-step solves (I - theta dt A) x = (I + (1 - theta) dt A) u with one
 linear solve and one sparse product, and checks the relative residual of
 that solve on every step (see ThetaStepper).
 
+Data that share an operator, dt and theta are stepped together: evolve takes
+a list of data and steps them as the columns of one (n, k) block, with one
+factorization for all of them.  Every column is held to the same
+1e-10 relative residual as a lone datum, and every column equals, bit for
+bit, the run of that datum on its own.
+
 One evolve call is sequential in time; independent rungs, data, and parameter
 sweeps can run concurrently since operators and trajectories are immutable.
 """
@@ -92,6 +98,20 @@ class ThetaStepper:
     is solved again directly.  If that fails too, SolveError names the time
     k dt of the carried run, and calls the time step unstable when x or B x
     is not finite.  The contract is the relative residual, not the method.
+
+    `step` also takes an (n, k) block whose columns are independent data,
+    and each column equals the vector step of that column bit for bit.  The
+    block takes one product per column through the same CSR kernel.  At
+    d = 1 it takes one multi-right-hand-side solve: all supernodes of a
+    d = 1 factor but the last (3 to 5 columns) are one column wide, which
+    SuperLU solves column by column whatever k is, and the block solve has
+    matched the vector solve bit for bit in every case tried (the tests pin
+    it).  At d = 2, SuperLU's BLAS-3 kernels on wide supernodes do round a
+    k-column block differently from one column, so the block is solved
+    column by column (iteratively where a vector would be; after an
+    iterative failure every column goes direct).  The residual test applies
+    to every column on its own: one column that misses it, or holds a NaN
+    or inf, fails the step, and the error names the time and the column.
     """
 
     def __init__(self, op: DiscreteOperator, dt, theta):
@@ -107,6 +127,8 @@ class ThetaStepper:
         self.M = (eye - theta * dt * op.matrix).tocsc()
         self.B = None if theta == 1.0 else (eye + (1.0 - theta) * dt * op.matrix).tocsr()
         self._fused = self.theta <= FUSED_THETA_MAX
+        # the residual's M x, where it is formed, takes the CSR kernel too
+        self._M_csr = None if self._fused else self.M.tocsr()
         self._lu = None
         self._ilu = None
         self._use_iterative = op.grid.d == 2 and n > 4000
@@ -137,46 +159,83 @@ class ThetaStepper:
             self._use_iterative = False
         return self._direct().solve(rhs)
 
-    def _times_b(self, x):
-        """B @ x for a float64 solution x: the CSR kernel behind `B @ x`, minus
-        scipy's per-call dispatch, which costs about as much as the kernel at d = 1."""
-        B = self.B
-        bx = np.zeros(B.shape[0])
-        _sparsetools.csr_matvec(B.shape[0], B.shape[1], B.indptr, B.indices, B.data, x, bx)
-        return bx
+    @staticmethod
+    def _times(A, x):
+        """A @ x for a CSR matrix A and a float64 vector x, or column by column
+        for an (n, k) block: the CSR kernel behind `A @ x`, minus scipy's
+        per-call dispatch, which costs about as much as the kernel at d = 1."""
+        ax = np.zeros(x.shape, order="F")
+        if x.ndim == 1:
+            _sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, ax)
+            return ax
+        for x_col, ax_col in zip(x.T, ax.T):
+            _sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data,
+                                    x_col, ax_col)
+        return ax
 
     def _residual(self, x, rhs):
-        """|M x - rhs| / |rhs| (NaN or inf if anything is non-finite), and B x."""
-        bx = None if self.B is None else self._times_b(x)
+        """|M x - rhs| / |rhs| (NaN or inf if anything is non-finite), and B x;
+        for an (n, k) block, the list of the k column residuals."""
+        bx = None if self.B is None else self._times(self.B, x)
         if self._fused:
             r = x - self.theta * bx
             r -= (1.0 - self.theta) * rhs
-            r_norm = math.sqrt(r @ r) / (1.0 - self.theta)
+            r_scale = 1.0 - self.theta
         else:
-            r = self.M @ x - rhs
-            r_norm = math.sqrt(r @ r)
-        return r_norm / max(math.sqrt(rhs @ rhs), 1e-300), bx
+            r = self._times(self._M_csr, x) - rhs
+            r_scale = 1.0
+        if x.ndim == 1:
+            return math.sqrt(r.dot(r)) / r_scale / max(math.sqrt(rhs.dot(rhs)), 1e-300), bx
+        return [math.sqrt(r_col.dot(r_col)) / r_scale / max(math.sqrt(rhs_col.dot(rhs_col)), 1e-300)
+                for r_col, rhs_col in zip(r.T, rhs.T)], bx
+
+    def _fail(self, k, x, bx, residual, where=""):
+        t = k * self.dt
+        if not (np.all(np.isfinite(x)) and (bx is None or np.all(np.isfinite(bx)))):
+            raise SolveError(f"non-finite state at t = {t:.6g}{where}; "
+                             "time step unstable for this operator")
+        raise SolveError(f"linear solve residual {residual:.2e} exceeds "
+                         f"{SOLVE_RTOL} at t = {t:.6g}{where}")
+
+    def _step_block(self, rhs, k):
+        """Solve every column of the (n, k) block rhs; returns (x, B x)."""
+        if self.op.grid.d == 1:
+            x = self._direct().solve(rhs)
+        else:
+            x = np.asfortranarray(np.column_stack([self._solve(col) for col in rhs.T]))
+        residuals, bx = self._residual(x, rhs)
+        for j, residual in enumerate(residuals):
+            if not residual <= SOLVE_RTOL:
+                x[:, j] = x_j = self._direct().solve(rhs[:, j])
+                residual, bx_j = self._residual(x_j, rhs[:, j])
+                if bx is not None:
+                    bx[:, j] = bx_j
+                if not residual <= SOLVE_RTOL:
+                    self._fail(k, x_j, bx_j, residual, f" in column {j}")
+        return x, bx
 
     def step(self, u):
-        """One theta-step from the dof vector u; returns the new state, read-only."""
+        """One theta-step from the dof vector u, or from an (n, k) block of k
+        data; returns the new state, read-only."""
         carried = u is self._x
         k = self._k + 1 if carried else 1
+        block = u.ndim == 2
         if self.B is None:
             rhs = u
+        elif carried:
+            rhs = self._bx
         else:
-            rhs = self._bx if carried else self.B @ u
-        x = self._solve(rhs)
-        residual, bx = self._residual(x, rhs)
-        if not residual <= SOLVE_RTOL:
-            x = self._direct().solve(rhs)
+            rhs = self._times(self.B, u) if block else self.B @ u
+        if block:
+            x, bx = self._step_block(rhs, k)
+        else:
+            x = self._solve(rhs)
             residual, bx = self._residual(x, rhs)
             if not residual <= SOLVE_RTOL:
-                t = k * self.dt
-                if not (np.all(np.isfinite(x)) and (bx is None or np.all(np.isfinite(bx)))):
-                    raise SolveError(f"non-finite state at t = {t:.6g}; "
-                                     "time step unstable for this operator")
-                raise SolveError(f"linear solve residual {residual:.2e} exceeds "
-                                 f"{SOLVE_RTOL} at t = {t:.6g}")
+                x = self._direct().solve(rhs)
+                residual, bx = self._residual(x, rhs)
+                if not residual <= SOLVE_RTOL:
+                    self._fail(k, x, bx, residual)
         x.flags.writeable = False
         self._x, self._bx, self._k = x, bx, k
         return x
@@ -210,9 +269,32 @@ def _store_steps(n_steps, dt, store_every, store_times):
     return sorted(marks)
 
 
-def evolve(op: DiscreteOperator, f: GridFunction, t_final, dt=1e-3, theta=0.5,
-           store_every=None, store_times=None) -> Trajectory:
+def _batch(op: DiscreteOperator, data):
+    """The data of a batched evolve call, checked to be stepped together."""
+    data = list(data)
+    if not data:
+        raise ValueError("evolve needs at least one datum")
+    for g in data:
+        if g.m != op.m:
+            raise ValueError(f"datum has {g.m} components, the operator {op.m}")
+        if g.grid is not op.grid and not np.array_equal(g.grid.nodes, op.grid.nodes):
+            raise ValueError("every datum of a batch must lie on the operator's grid")
+    return data
+
+
+def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
+           store_every=None, store_times=None):
     """Repeated theta-steps from f; stores snapshots on the full grid.
+
+    `f` is a GridFunction, and the result its Trajectory; or `f` is a
+    sequence of GridFunctions on the operator's grid with its component
+    count, and the result is one Trajectory per datum, in order.  The data
+    of a sequence share t_final and the stored times and are stepped as the
+    columns of one block (see ThetaStepper): one factorization, one
+    multi-right-hand-side solve per step at d = 1, the 1e-10 relative
+    residual held column by column, and each Trajectory bitwise equal to
+    evolving that datum alone.  A one-element sequence takes the vector
+    step.
 
     Dirichlet runs store the initial datum exactly and later snapshots with
     zero boundary values.  Aborts with SolveError if a step fails its residual
@@ -221,23 +303,32 @@ def evolve(op: DiscreteOperator, f: GridFunction, t_final, dt=1e-3, theta=0.5,
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
+    batched = not isinstance(f, GridFunction)
+    data = _batch(op, f) if batched else [f]
     n_steps = max(1, int(round(t_final / dt)))
     marks = _store_steps(n_steps, dt, store_every, store_times)
     stepper = ThetaStepper(op, dt, theta)
 
-    u = op.restrict(f)
+    if len(data) == 1:
+        u = op.restrict(data[0])
+    else:
+        # (k, n) rows transposed: an (n, k) block whose columns are contiguous
+        u = np.array([op.restrict(g) for g in data]).T
     times = [0.0]
-    snapshots = [f.copy()]
+    snapshots = [[g.copy()] for g in data]
     next_marks = [k for k in marks if k > 0]
     mark_pos = 0
     for k in range(1, n_steps + 1):
         u = stepper.step(u)
         if mark_pos < len(next_marks) and k == next_marks[mark_pos]:
             times.append(k * dt)
-            snapshots.append(op.embed(u))
+            for snaps, column in zip(snapshots, u.T if u.ndim == 2 else [u]):
+                snaps.append(op.embed(column))
             mark_pos += 1
-    return Trajectory(times=np.array(times), snapshots=snapshots, grid=op.grid,
-                      dt=dt, theta=theta, boundary_kind=op.boundary_kind)
+    trajectories = [Trajectory(times=np.array(times), snapshots=snaps, grid=op.grid,
+                               dt=dt, theta=theta, boundary_kind=op.boundary_kind)
+                    for snaps in snapshots]
+    return trajectories if batched else trajectories[0]
 
 
 def cesaro_average(traj: Trajectory) -> GridFunction:
@@ -304,8 +395,21 @@ def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
     return worst
 
 
+def _same_run(runs, grid, f, dt, theta, times):
+    """The trajectory of `runs` that started from f on `grid` with this dt,
+    theta and these stored times, or None."""
+    key = (grid.d, grid.L, grid.n_per_axis, grid.boundary_kind)
+    for traj in runs:
+        g = traj.grid
+        if (g.d, g.L, g.n_per_axis, g.boundary_kind) == key and \
+                (traj.dt, traj.theta) == (dt, theta) and np.array_equal(traj.times, times) \
+                and np.array_equal(traj.snapshots[0].values, f.values):
+            return traj
+    return None
+
+
 def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0.5,
-                 boundary_kind="neumann", store_every=None) -> NestedSolveResult:
+                 boundary_kind="neumann", store_every=None, runs=()) -> NestedSolveResult:
     """Evolve on an increasing ladder of boxes and track window discrepancies.
 
     `ladder` is a list of (L, n_per_axis) with strictly increasing L and a
@@ -313,6 +417,11 @@ def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0
     The final rung is re-run with the other boundary condition and the gap
     between the two is reported (both approximate the same whole-space
     semigroup).
+
+    `runs` may hold trajectories the caller has already evolved with this
+    field to t_final (for example as one column of a batch).  A rung whose
+    grid, initial values, dt, theta and stored times match one of them takes
+    it as its run instead of evolving again; the field is the caller's word.
     """
     if len(ladder) < 2:
         raise ValueError("ladder needs at least two rungs")
@@ -322,15 +431,19 @@ def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0
     if r_obs >= min(Ls):
         raise ValueError("observation radius must be smaller than the smallest box")
 
+    n_steps = max(1, int(round(t_final / dt)))
+    times = np.array([k * dt for k in _store_steps(n_steps, dt, store_every, None)])
     trajectories = []
     hs = []
     for L, n in ladder:
         grid = build_grid(field.dim_d, L, n, boundary_kind)
         hs.append(grid.h)
-        op = assemble_system_operator(field, grid)
         f = grid_function_from_callable(grid, f_fn, m=field.dim_m)
-        trajectories.append(evolve(op, f, t_final, dt=dt, theta=theta,
-                                   store_every=store_every))
+        traj = _same_run(runs, grid, f, dt, theta, times)
+        if traj is None:
+            op = assemble_system_operator(field, grid)
+            traj = evolve(op, f, t_final, dt=dt, theta=theta, store_every=store_every)
+        trajectories.append(traj)
     if max(hs) - min(hs) > 1e-9 * max(hs):
         raise ValueError("ladder rungs must share the grid spacing h")
 

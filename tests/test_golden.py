@@ -1,8 +1,10 @@
 """Golden bytes: SHA-256 of the check report, the measure CSV and the simulate
-CSV for a small anisotropic d = 2 config.
+CSV for a small anisotropic d = 2 config, and of the core, asymptotic and
+rates reports and the sweep summary for small d = 1 configs.
 
-The hashes were captured on the code before the coefficient fields were
-batched, with no source file edited.  A performance change must leave every
+The d = 2 hashes were captured on the code before the coefficient fields
+were batched, the d = 1 hashes on the code before time stepping was batched,
+each with no source file edited.  A performance change must leave every
 output byte-identical; a change that moves a value on purpose updates the
 hash and says in CHANGES.md which operation moved it and by how much.
 """
@@ -12,6 +14,7 @@ import hashlib
 import pytest
 
 from kolsys.cli import run
+from kolsys.semigroup import ThetaStepper
 
 GOLDEN_CFG = """\
 [problem]
@@ -39,14 +42,90 @@ store_every = 2
 # field tried, so `measure` runs with Q0 = I.
 MEASURE_CFG = GOLDEN_CFG.replace("q0 = 2.0, 0.5, 0.5, 1.0", "q0 = 1.0, 0.0, 0.0, 1.0")
 
+D1_CFG = """\
+[problem]
+d = 1
+m = 2
+gamma = 0.0
+beta = 1.0
+b0 = 1.0
+coupling_kind = exchange2
+
+[grid]
+L = 6.0
+n_per_axis = 121
+boundary = neumann
+
+[time]
+dt = 4e-3
+t_final = 3.0
+theta = 0.5
+
+[data]
+f = tanh, gauss
+
+[verify]
+R_obs = 3.0
+
+[run]
+seed = 0
+"""
+
+# the 6:121 rung is the suite's grid, and t_final = 3 is the Cesaro n: that
+# rung is the run the Cesaro check needs
+ASYMPTOTIC_CFG = D1_CFG + """
+[nest]
+ladder = 4:81, 6:121
+nest_tol = 1e-1
+R_obs = 3.0
+"""
+
+RATES_CFG = """\
+[problem]
+d = 1
+m = 2
+coupling_kind = exchange2
+
+[grid]
+L = 4.0
+n_per_axis = 321
+boundary = neumann
+
+[time]
+dt = 2.5e-4
+t_final = 0.1
+theta = 0.5
+
+[verify]
+R_obs = 3.0
+"""
+
+# two families (gamma = 2 fails the Lyapunov check) times two values of p
+SWEEP_CFG = D1_CFG.replace("t_final = 3.0", "t_final = 2.0") + """
+[sweep]
+gamma = 0, 2
+beta = 1
+p = 2, 4
+cap = 8
+workers = 2
+"""
+
 GOLDEN = {
     ("check", "--kp"): (GOLDEN_CFG, 0, "5869218174247867fb86f5379654516dcf5a855a98403856aaef6c963042a262"),
     ("measure",): (MEASURE_CFG, 0, "1bd66d55a6ec76d231270b13cc8735250ed09538319296a4923226a5a17cbec4"),
     ("simulate",): (GOLDEN_CFG, 0, "283ee16cdaae3cd5a8a29fc3cfc1d1bd9f1640d7232a003625766d6c6173c343"),
+    ("verify", "--suite", "core"): (D1_CFG, 0, "da7006178ac8a479014c4b4e697d453a2601c4b006cfc8a32bea6952a8d08406"),
+    ("verify", "--suite", "asymptotic"): (ASYMPTOTIC_CFG, 1, "20039fc77c5cb455d5a0eadc628784da618dcd7807d0c8d2b1b2ac0d40abde3f"),
+    ("verify", "--suite", "rates"): (RATES_CFG, 0, "b1f88c5052dc0d149f5c2e7600fcd2b70650b0987a8b344037eb0174b0ffed8c"),
+    ("sweep",): (SWEEP_CFG, 1, "3402c953f3e9b5400dc7b510aee224c5ad7b8241fb102767dc03f65216e93cf0"),
 }
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=lambda a: a[0])
+def _golden_id(argv):
+    return f"verify-{argv[2]}" if argv[0] == "verify" else argv[0]
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=_golden_id)
 def test_output_bytes_pinned(tmp_path, argv):
     text, want_code, want_digest = GOLDEN[argv]
     cfg = tmp_path / "golden.cfg"
@@ -55,3 +134,36 @@ def test_output_bytes_pinned(tmp_path, argv):
     code = run([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert (code, digest) == (want_code, want_digest)
+
+
+# (steps, datum-steps) of each d = 1 suite on the configs above: each distinct
+# run happens once, and data that share an operator share their steps
+STEP_COUNTS = {
+    # fixed points 3 x 250 in one block; positivity 500; theta = 1 system and
+    # scalar 750 each; invariance 750; tanh and gauss 2 x 750 in one block
+    "core": (3750, 5000),
+    # e1, the bump and f 3 x 750 in one block, whose f run is also the
+    # ladder's 6:121 rung; unit run 250; discrete average 500; the 4:81 rung
+    # and the Dirichlet run 750 each
+    "asymptotic": (3000, 4500),
+    # 3 system data in one block, 3 denominators in one block, 400 steps each
+    "rates": (800, 2400),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(STEP_COUNTS))
+def test_each_distinct_run_steps_once(tmp_path, monkeypatch, suite):
+    counts = [0, 0]
+    real_step = ThetaStepper.step
+
+    def counting_step(self, u):
+        x = real_step(self, u)
+        counts[0] += 1
+        counts[1] += x.shape[1] if x.ndim == 2 else 1
+        return x
+
+    monkeypatch.setattr(ThetaStepper, "step", counting_step)
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN[("verify", "--suite", suite)][0])
+    run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out.txt"), "--suite", suite])
+    assert tuple(counts) == STEP_COUNTS[suite]

@@ -18,6 +18,7 @@ from kolsys.invariant_measure import (
 from kolsys.properties import (
     counterexample_mode,
     estimate_gradient_rate,
+    estimate_gradient_rates,
     jordan_asymptotics_check,
     rate_report,
     verify_fixed_points,
@@ -174,6 +175,22 @@ def test_gradient_rate_validates_arguments(setup):
         estimate_gradient_rate(field, f, p=0.5, k=1, h=0)
     with pytest.raises(ValueError):
         estimate_gradient_rate(field, f, p=2.0, k=1, h=0, n_samples=5)
+    with pytest.raises(ValueError):
+        estimate_gradient_rates(field, [], p=2.0)
+
+
+def test_gradient_rates_batch_equals_single_estimates(setup):
+    # shared data and denominators run once, in one block per operator; each
+    # fit must equal its own estimate_gradient_rate exactly
+    field, *_ = setup
+    grid = build_grid(1, 4.0, 161, "neumann")
+    f_step = grid_function_from_callable(grid, lambda x: [np.tanh(x[0] / 0.1), 0.0])
+    f_smooth = grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)])
+    cases = [(f_step, 1, 0, 50.0), (f_step, 2, 0, 50.0), (f_step, 2, 1, 50.0),
+             (f_smooth, 1, 1, 10.0)]
+    fits = estimate_gradient_rates(field, cases, p=2.0, dt=5e-4)
+    for fit, (f, k, h, cap) in zip(fits, cases):
+        assert fit == estimate_gradient_rate(field, f, p=2.0, k=k, h=h, dt=5e-4, ratio_cap=cap)
 
 
 def test_lp_bound_fixed_point_constant_norm(setup):

@@ -367,3 +367,152 @@ def test_nested_rejects_bad_ladder():
     with pytest.raises(ValueError):
         solve_nested(field, tanh_gauss, 0.1, [(4.0, 161), (6.0, 241)],
                      nest_tol=1e-6, r_obs=5.0)
+
+
+# -- batched stepping: data that share an operator step as one block ----------
+
+def _block_operator(kind):
+    """A small operator of each kind and four distinct data on its grid."""
+    if kind == "d2":
+        field = make_builtin(BuiltinFamily(dim_d=2, dim_m=2, gamma=0.0, beta=1.0, b0=1.0,
+                                           Q0=np.array([[1.0, 0.2], [0.2, 1.0]])))
+        grid = build_grid(2, 3.0, 15, "neumann")
+    else:
+        field = exchange2_field()
+        grid = build_grid(1, 6.0, 81, "neumann")
+    if kind == "scalar":
+        op = assemble_scalar_operator(field, grid)
+        data = [grid_function_from_callable(grid, lambda x, a=a: np.tanh(a * x[0]), m=1)
+                for a in (0.5, 1.0, 2.0, 3.0)]
+    else:
+        op = assemble_system_operator(field, grid)
+        data = [grid_function_from_callable(
+            grid, lambda x, a=a: [np.tanh(a * x[0]), np.exp(-a * np.dot(x, x))])
+            for a in (0.5, 1.0, 2.0, 3.0)]
+    return op, data
+
+
+def _same_trajectory(a, b):
+    return (np.array_equal(a.times, b.times) and len(a.snapshots) == len(b.snapshots)
+            and all(np.array_equal(sa.values, sb.values)
+                    for sa, sb in zip(a.snapshots, b.snapshots)))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 0.995, 1.0])
+@pytest.mark.parametrize("kind", ["system", "scalar", "d2"])
+def test_batched_evolve_equals_per_datum_bitwise(kind, theta):
+    op, data = _block_operator(kind)
+    for k in (1, 2, 4):
+        for store in ({"store_every": 3}, {"store_times": [0.01, 0.02, 0.04]}):
+            batch = evolve(op, data[:k], t_final=0.04, dt=2e-3, theta=theta, **store)
+            assert len(batch) == k
+            for f, traj in zip(data, batch):
+                alone = evolve(op, f, t_final=0.04, dt=2e-3, theta=theta, **store)
+                assert _same_trajectory(traj, alone), (k, store)
+
+
+def test_block_step_columns_equal_vector_steps():
+    op, data = _block_operator("system")
+    block = np.array([op.restrict(f) for f in data[:3]]).T
+    stepper = ThetaStepper(op, 1e-2, 0.5)
+    x = stepper.step(block)
+    x = stepper.step(x)                          # reuses the carried B x
+    assert x.shape == block.shape and not x.flags.writeable
+    for j in range(3):
+        alone = ThetaStepper(op, 1e-2, 0.5)
+        assert np.array_equal(x[:, j], alone.step(alone.step(block[:, j].copy())))
+
+
+def _perturb_column_from(monkeypatch, column, first_step):
+    """From the `first_step`-th block solve on, return the true solution with
+    `column` perturbed by 1e-8 relative, and so every direct retry after it."""
+    real_direct = ThetaStepper._direct
+    block_solves = itertools.count(1)
+    rng = np.random.default_rng(3)
+    late = [False]
+
+    def perturbed(x):
+        w = rng.standard_normal(x.shape)
+        return x + 1e-8 * np.linalg.norm(x) / np.linalg.norm(w) * w
+
+    def direct(self):
+        lu = real_direct(self)
+
+        def solve(rhs):
+            x = lu.solve(rhs)
+            if x.ndim == 1:
+                return perturbed(x) if late[0] else x
+            late[0] = next(block_solves) >= first_step
+            if late[0]:
+                x[:, column] = perturbed(x[:, column])
+            return x
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(ThetaStepper, "_direct", direct)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 0.995, 1.0])
+def test_batched_evolve_rejects_one_column_off_by_1e8(monkeypatch, theta):
+    # negative control for the column-wise residual: columns 0, 1 and 3 are
+    # exact throughout, column 2 is 1e-8 off from step 30 on
+    op, data = _block_operator("system")
+    _perturb_column_from(monkeypatch, 2, 30)
+    with pytest.raises(SolveError,
+                       match=r"residual \S+ exceeds 1e-10 at t = 0\.3 in column 2$"):
+        evolve(op, data, t_final=0.5, dt=1e-2, theta=theta)
+
+
+def test_block_step_nan_in_one_column_raises():
+    op, data = _block_operator("system")
+    block = np.array([op.restrict(f) for f in data[:3]]).T
+    block[7, 1] = np.nan
+    with pytest.raises(SolveError, match=r"non-finite state at t = 0\.01 in column 1; "):
+        ThetaStepper(op, 1e-2, 0.5).step(block)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_batched_explicit_euler_names_the_unstable_column():
+    # explicit Euler far above its stability limit: the kernel direction
+    # stays fixed in column 0, the tanh/gauss datum in column 1 blows up
+    field = exchange2_field()
+    grid = build_grid(1, 6.0, 121, "neumann")
+    op = assemble_system_operator(field, grid)
+    xi = GridFunction(grid, np.full((2, grid.n_nodes), 1.0 / np.sqrt(2)))
+    f = grid_function_from_callable(grid, tanh_gauss)
+    with pytest.raises(SolveError, match=r"non-finite state at t = \S+ in column 1; "):
+        evolve(op, [xi, f], t_final=100.0, dt=0.1, theta=0.0)
+
+
+def test_batched_evolve_rejects_mixed_or_empty_batches():
+    op, data = _block_operator("system")
+    other_grid = build_grid(1, 4.0, 81, "neumann")
+    on_other = grid_function_from_callable(other_grid, tanh_gauss)
+    scalar = grid_function_from_callable(op.grid, lambda x: np.tanh(x[0]), m=1)
+    for batch in ([], [data[0], on_other], [data[0], scalar]):
+        with pytest.raises(ValueError):
+            evolve(op, batch, t_final=0.1, dt=1e-2)
+
+
+def test_nested_reuses_a_matching_run():
+    field = exchange2_field()
+    ladder = [(4.0, 161), (6.0, 241)]
+    kwargs = dict(t_final=0.02, ladder=ladder, nest_tol=1e-8, r_obs=3.0, dt=1e-3)
+    plain = solve_nested(field, tanh_gauss, **kwargs)
+    grid = build_grid(1, 6.0, 241, "neumann")
+    op = assemble_system_operator(field, grid)
+    f = grid_function_from_callable(grid, tanh_gauss)
+    run = evolve(op, f, 0.02, dt=1e-3)
+    reused = solve_nested(field, tanh_gauss, runs=[run], **kwargs)
+    assert reused.trajectory is run
+    assert (reused.discrepancies, reused.dirichlet_neumann_gap) == \
+        (plain.discrepancies, plain.dirichlet_neumann_gap)
+    # a run that differs in theta, in its datum or in its stored times is not
+    # the rung's run
+    other = grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), 0.0])
+    for stranger in (evolve(op, f, 0.02, dt=1e-3, theta=1.0),
+                     evolve(op, other, 0.02, dt=1e-3),
+                     evolve(op, f, 0.02, dt=1e-3, store_every=5)):
+        result = solve_nested(field, tanh_gauss, runs=[stranger], **kwargs)
+        assert result.trajectory is not stranger
+        assert _same_trajectory(result.trajectory, plain.trajectory)
