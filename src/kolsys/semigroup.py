@@ -92,12 +92,13 @@ class ThetaStepper:
     round-off of B x, so M x is formed as well.
 
     Every step must meet |M x - B u| <= SOLVE_RTOL |B u|; the test also
-    rejects NaN and inf.  d = 1 systems go straight to a sparse direct
-    factorization; large d = 2 systems try an ILU-preconditioned BiCGStab
-    first and fall back to the direct solve, and a step whose residual fails
-    is solved again directly.  If that fails too, SolveError names the time
-    k dt of the carried run, and calls the time step unstable when x or B x
-    is not finite.  The contract is the relative residual, not the method.
+    rejects NaN and inf.  M is factored once by SuperLU, with the column
+    ordering chosen by the grid dimension: the default COLAMD at d = 1, and
+    the minimum degree ordering of M^T + M (MMD_AT_PLUS_A) at d = 2, whose
+    factor has about half of COLAMD's fill on a 2-D stencil.  A step whose
+    residual fails is solved once more.  If that fails too, SolveError names
+    the time k dt of the carried run, and calls the time step unstable when
+    x or B x is not finite.
 
     `step` also takes an (n, k) block whose columns are independent data,
     and each column equals the vector step of that column bit for bit.  The
@@ -106,12 +107,11 @@ class ThetaStepper:
     d = 1 factor but the last (3 to 5 columns) are one column wide, which
     SuperLU solves column by column whatever k is, and the block solve has
     matched the vector solve bit for bit in every case tried (the tests pin
-    it).  At d = 2, SuperLU's BLAS-3 kernels on wide supernodes do round a
+    it).  At d = 2, SuperLU's BLAS-3 kernels on wide supernodes may round a
     k-column block differently from one column, so the block is solved
-    column by column (iteratively where a vector would be; after an
-    iterative failure every column goes direct).  The residual test applies
-    to every column on its own: one column that misses it, or holds a NaN
-    or inf, fails the step, and the error names the time and the column.
+    column by column.  The residual test applies to every column on its
+    own: one column that misses it, or holds a NaN or inf, fails the step,
+    and the error names the time and the column.
     """
 
     def __init__(self, op: DiscreteOperator, dt, theta):
@@ -130,34 +130,18 @@ class ThetaStepper:
         # the residual's M x, where it is formed, takes the CSR kernel too
         self._M_csr = None if self._fused else self.M.tocsr()
         self._lu = None
-        self._ilu = None
-        self._use_iterative = op.grid.d == 2 and n > 4000
         # carried state: the last returned x, B x, and its step number
         self._x = self._bx = None
         self._k = 0
 
     def _direct(self):
         if self._lu is None:
+            permc_spec = "MMD_AT_PLUS_A" if self.op.grid.d == 2 else "COLAMD"
             try:
-                self._lu = spla.splu(self.M)
+                self._lu = spla.splu(self.M, permc_spec=permc_spec)
             except RuntimeError as exc:   # pragma: no cover - singular system
                 raise SolveError(f"time-step matrix is singular: {exc}") from exc
         return self._lu
-
-    def _solve(self, rhs):
-        if self._use_iterative:
-            if self._ilu is None:
-                try:
-                    self._ilu = spla.spilu(self.M, drop_tol=1e-6, fill_factor=20)
-                except RuntimeError:
-                    self._use_iterative = False
-                    return self._direct().solve(rhs)
-            prec = spla.LinearOperator(self.M.shape, self._ilu.solve)
-            u, info = spla.bicgstab(self.M, rhs, rtol=1e-12, atol=0.0, M=prec)
-            if info == 0:
-                return u
-            self._use_iterative = False
-        return self._direct().solve(rhs)
 
     @staticmethod
     def _times(A, x):
@@ -202,7 +186,7 @@ class ThetaStepper:
         if self.op.grid.d == 1:
             x = self._direct().solve(rhs)
         else:
-            x = np.asfortranarray(np.column_stack([self._solve(col) for col in rhs.T]))
+            x = np.asfortranarray(np.column_stack([self._direct().solve(col) for col in rhs.T]))
         residuals, bx = self._residual(x, rhs)
         for j, residual in enumerate(residuals):
             if not residual <= SOLVE_RTOL:
@@ -229,7 +213,7 @@ class ThetaStepper:
         if block:
             x, bx = self._step_block(rhs, k)
         else:
-            x = self._solve(rhs)
+            x = self._direct().solve(rhs)
             residual, bx = self._residual(x, rhs)
             if not residual <= SOLVE_RTOL:
                 x = self._direct().solve(rhs)

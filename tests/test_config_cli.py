@@ -1,5 +1,7 @@
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,3 +292,13 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask):
     assert target.read_text() == "b\n"
     assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # each costs every command its import time and memory; the package uses neither
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import kolsys.cli, sys; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

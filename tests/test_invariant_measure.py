@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
-from kolsys.coefficients import BuiltinFamily, make_builtin
+from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin
 from kolsys.discretization import GridFunction, build_grid, grid_function_from_callable
 from kolsys.hypotheses import SampleSpec, compute_common_kernel
 from kolsys.invariant_measure import (
@@ -33,10 +34,11 @@ def normalized_on_grid(grid, values):
 
 
 def test_oracle_gaussian_for_ou():
+    # b/q = -x: the Gauss-Legendre rule integrates it exactly
     grid = build_grid(1, 6.0, 241)
     mu = oracle_density_1d(ou_field(), grid)
     expected = normalized_on_grid(grid, np.exp(-0.5 * grid.nodes[:, 0] ** 2))
-    assert np.max(np.abs(mu.rho - expected)) <= 1e-10
+    assert np.max(np.abs(mu.rho - expected)) <= 1e-14
 
 
 def test_oracle_quartic_family():
@@ -54,6 +56,57 @@ def test_oracle_gamma1_prefactor():
     x = grid.nodes[:, 0]
     expected = normalized_on_grid(grid, np.exp(-0.5 * x ** 2) / (1 + x ** 2))
     assert np.max(np.abs(mu.rho - expected)) <= 1e-10
+
+
+def quad_reference_oracle(field, grid):
+    """rho = Z^-1 q^-1 exp(int_0^x b/q) with adaptive quadrature per grid cell."""
+    def ratio(x):
+        return field.b(np.array([x]))[0] / field.Q(np.array([x]))[0, 0]
+
+    xs = grid.axis
+    cells = [scipy.integrate.quad(ratio, a, b, epsabs=1e-13, epsrel=1e-13)[0]
+             for a, b in zip(xs[:-1], xs[1:])]
+    i0 = int(np.argmin(np.abs(xs)))
+    cumulative = np.concatenate([[0.0], np.cumsum(cells)])
+    cumulative -= cumulative[i0]
+    rho = np.exp(cumulative - np.log(field.Q(grid.nodes)[:, 0, 0]))
+    return normalized_on_grid(grid, rho)
+
+
+@pytest.mark.parametrize("gamma, beta, q0, n", [(0.0, 0.0, 1.0, 121), (0.0, 1.0, 0.7, 201),
+                                                (1.0, 0.0, 1.0, 121), (1.0, 1.0, 2.0, 241),
+                                                (0.5, 2.0, 1.3, 161)])
+def test_oracle_matches_adaptive_quadrature(gamma, beta, q0, n):
+    field = make_builtin(BuiltinFamily(dim_d=1, dim_m=2, gamma=gamma, beta=beta,
+                                       b0=1.0, Q0=q0 * np.eye(1)))
+    grid = build_grid(1, 6.0, n)
+    expected = quad_reference_oracle(field, grid)
+    rho = oracle_density_1d(field, grid).rho
+    assert np.max(np.abs(rho - expected)) <= 1e-12 * np.max(expected)
+
+
+def kinked_field(kink):
+    return CoefficientField.from_pointwise(
+        1, 1, lambda x: np.eye(1), lambda x: -x - 0.5 * np.abs(x - kink),
+        lambda x: np.zeros((1, 1)))
+
+
+def test_oracle_rejects_a_kink_inside_a_cell():
+    # negative control for the n-point / 2n-point check: b/q has a kink at
+    # x = 0.43, inside the cell [0.4, 0.5], and is linear on every other cell
+    grid = build_grid(1, 6.0, 121)
+    with pytest.raises(ValueError, match=r"disagree by \S+ on \[0\.4\d*, 0\.5\d*\]"):
+        oracle_density_1d(kinked_field(0.43), grid, quad_tol=1e-12)
+    # the same kink on a grid node leaves every cell smooth
+    mu = oracle_density_1d(kinked_field(0.4), grid, quad_tol=1e-12)
+    assert mu.mass() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_oracle_rejects_vanishing_diffusion():
+    field = CoefficientField.from_pointwise(
+        1, 1, lambda x: np.atleast_2d(x[0] ** 2), lambda x: -x, lambda x: np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="diffusion vanishes at x = 0.0"):
+        oracle_density_1d(field, build_grid(1, 6.0, 121))
 
 
 def test_oracle_requires_1d():

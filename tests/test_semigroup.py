@@ -342,7 +342,7 @@ def test_nested_small_time_compact_support():
 
 
 def test_evolve_2d_markov_and_positivity():
-    # 71^2 = 5041 nodes: exercises the iterative d = 2 solve path
+    # 71^2 = 5041 nodes, 10,082 dofs, through the d = 2 direct solve
     fam = BuiltinFamily(dim_d=2, dim_m=2, gamma=0.0, beta=1.0, b0=1.0,
                         Q0=np.array([[1.0, 0.2], [0.2, 1.0]]))
     field = make_builtin(fam)
@@ -357,6 +357,41 @@ def test_evolve_2d_markov_and_positivity():
         grid, lambda x: [np.exp(-np.dot(x, x)), 0.0])
     traj_g = evolve(op, g, t_final=0.05, dt=1e-2, theta=1.0)
     assert min(np.min(s.values) for s in traj_g.snapshots) >= -1e-8
+
+
+def test_2d_steps_take_one_direct_factor_in_mmd_order(monkeypatch):
+    def no_iterative_solves(*args, **kwargs):
+        raise AssertionError("d = 2 steps must not take an iterative solve")
+
+    monkeypatch.setattr(spla, "spilu", no_iterative_solves)
+    monkeypatch.setattr(spla, "bicgstab", no_iterative_solves)
+    factorizations = []
+    real_splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(args)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    fam = BuiltinFamily(dim_d=2, dim_m=2, gamma=1.0, beta=1.0, b0=1.0,
+                        Q0=np.array([[2.0, 0.5], [0.5, 1.0]]))
+    grid = build_grid(2, 3.0, 71, "neumann")
+    op = assemble_system_operator(make_builtin(fam), grid)
+    u = op.restrict(grid_function_from_callable(
+        grid, lambda x: [np.exp(-np.dot(x, x)), np.tanh(x[0] - x[1])]))
+    stepper = ThetaStepper(op, 1e-2, 0.5)
+    x = stepper.step(u)
+    for _ in range(4):
+        x = stepper.step(x)
+    assert len(factorizations) == 1
+
+    # one more step from x, checked here against M x+ = B x
+    rhs = stepper.B @ x
+    x_next = stepper.step(x)
+    assert np.linalg.norm(stepper.M @ x_next - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    perm_c = stepper._lu.perm_c
+    assert np.array_equal(perm_c, real_splu(stepper.M, permc_spec="MMD_AT_PLUS_A").perm_c)
+    assert not np.array_equal(perm_c, real_splu(stepper.M).perm_c)
 
 
 def test_nested_rejects_bad_ladder():
