@@ -13,7 +13,6 @@ import itertools
 import os
 import secrets
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -531,7 +530,6 @@ def cmd_sweep(args):
     b0s = cfg.get_floats("sweep", "b0", [cfg.get_float("problem", "b0", 1.0)])
     ps = cfg.get_floats("sweep", "p", [2.0])
     cap = cfg.get_int("sweep", "cap", 64)
-    workers = cfg.get_int("sweep", "workers", 4)
     combos = sorted(itertools.product(gammas, betas, b0s, ps))
     if len(combos) > cap:
         raise ConfigError(f"sweep of {len(combos)} runs exceeds the cap {cap}")
@@ -539,9 +537,7 @@ def cmd_sweep(args):
     # rows that differ only in p share one _sweep_row call
     families = [(key, [c[3] for c in group])
                 for key, group in itertools.groupby(combos, key=lambda c: c[:3])]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = [row for family in pool.map(lambda f: _sweep_row(cfg, *f[0], f[1]), families)
-                for row in family]
+    rows = [row for key, p_values in families for row in _sweep_row(cfg, *key, p_values)]
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:

@@ -57,11 +57,6 @@ class KernelVector:
     sample_count: int
 
 
-def refine(spec: SampleSpec, factor=2):
-    n = spec.n_per_axis * factor - (factor - 1)
-    return SampleSpec(radius=spec.radius, n_per_axis=n, n_annuli=spec.n_annuli)
-
-
 def _annulus_reduce(values, idx, n_annuli, reducer):
     out = np.full(n_annuli, np.nan)
     for a in range(n_annuli):

@@ -3,16 +3,11 @@ Cesaro averages.
 
 A theta-step solves (I - theta dt A) x = (I + (1 - theta) dt A) u with one
 linear solve and one sparse product, and checks the relative residual of
-that solve on every step (see ThetaStepper).
-
-Data that share an operator, dt and theta are stepped together: evolve takes
-a list of data and steps them as the columns of one (n, k) block, with one
-factorization for all of them.  Every column is held to the same
-1e-10 relative residual as a lone datum, and every column equals, bit for
-bit, the run of that datum on its own.
-
-One evolve call is sequential in time; independent rungs, data, and parameter
-sweeps can run concurrently since operators and trajectories are immutable.
+that solve on every step (see ThetaStepper).  Every datum steps as a column
+of an (n, k) block, a lone datum as k = 1: evolve takes a list of data that
+share an operator, dt and theta and steps them together, with one
+factorization for all of them.  Every column is held to the 1e-10 relative
+residual on its own, and equals, bit for bit, the run of that datum alone.
 """
 
 from __future__ import annotations
@@ -23,6 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import daxpy, ddot
 from scipy.sparse import _sparsetools
 
 from kolsys.discretization import (
@@ -82,36 +78,32 @@ class NestedSolveResult:
 class ThetaStepper:
     """Factorized M = I - theta dt A, stepping M x = B u with B = I + (1 - theta) dt A.
 
-    A step costs one solve and one sparse product.  For theta < 1 the product
-    is y = B x of the new state x: it is the next step's right-hand side, and
+    `step` takes an (n, k) block whose columns are independent data; a dof
+    vector steps as its (n, 1) view and comes back as a vector.  A step is
+    one solve and one sparse product.  For theta < 1 the product is y = B x
+    of the new state x: it is the next step's right-hand side, and
     M x = (x - theta y) / (1 - theta) gives this step's residual.  The
     stepper carries (x, B x): handed back the array it returned (read-only),
-    it reuses B x instead of forming it again.  For theta = 1, B is the
-    identity, the state itself is the right-hand side, and the product is
-    M x.  Above FUSED_THETA_MAX the 1 / (1 - theta) factor would amplify the
-    round-off of B x, so M x is formed as well.
+    it reuses B x.  For theta = 1, B is the identity, the state is the
+    right-hand side, and the product is M x.  Above FUSED_THETA_MAX the
+    1 / (1 - theta) factor would amplify the round-off of B x, so M x is
+    formed as well.
 
-    Every step must meet |M x - B u| <= SOLVE_RTOL |B u|; the test also
-    rejects NaN and inf.  M is factored once by SuperLU, with the column
-    ordering chosen by the grid dimension: the default COLAMD at d = 1, and
-    the minimum degree ordering of M^T + M (MMD_AT_PLUS_A) at d = 2, whose
-    factor has about half of COLAMD's fill on a 2-D stencil.  A step whose
-    residual fails is solved once more.  If that fails too, SolveError names
-    the time k dt of the carried run, and calls the time step unstable when
-    x or B x is not finite.
+    M is factored once by SuperLU: COLAMD at d = 1, and at d = 2 the minimum
+    degree ordering of M^T + M (MMD_AT_PLUS_A), with about half of COLAMD's
+    fill on a 2-D stencil.  At d = 1 a block takes one multi-right-hand-side
+    solve: all supernodes of a d = 1 factor but the last (3 to 5 columns) are
+    one column wide, and the block solve has matched the one-column solve bit
+    for bit in every case tried (the tests pin it).  At d = 2, SuperLU's
+    BLAS-3 kernels on wide supernodes may round a block differently, so it
+    is solved column by column.  Each column equals the step of that datum
+    alone, bit for bit.
 
-    `step` also takes an (n, k) block whose columns are independent data,
-    and each column equals the vector step of that column bit for bit.  The
-    block takes one product per column through the same CSR kernel.  At
-    d = 1 it takes one multi-right-hand-side solve: all supernodes of a
-    d = 1 factor but the last (3 to 5 columns) are one column wide, which
-    SuperLU solves column by column whatever k is, and the block solve has
-    matched the vector solve bit for bit in every case tried (the tests pin
-    it).  At d = 2, SuperLU's BLAS-3 kernels on wide supernodes may round a
-    k-column block differently from one column, so the block is solved
-    column by column.  The residual test applies to every column on its
-    own: one column that misses it, or holds a NaN or inf, fails the step,
-    and the error names the time and the column.
+    Every column must meet |M x - B u| <= SOLVE_RTOL |B u| on its own; NaN
+    and inf fail.  The solve is deterministic, so a failing column raises
+    SolveError after its one solve, naming the time k dt of the carried run
+    and, when k > 1, the column, and calling the time step unstable when x
+    or B x is not finite.
     """
 
     def __init__(self, op: DiscreteOperator, dt, theta):
@@ -127,11 +119,11 @@ class ThetaStepper:
         self.M = (eye - theta * dt * op.matrix).tocsc()
         self.B = None if theta == 1.0 else (eye + (1.0 - theta) * dt * op.matrix).tocsr()
         self._fused = self.theta <= FUSED_THETA_MAX
-        # the residual's M x, where it is formed, takes the CSR kernel too
-        self._M_csr = None if self._fused else self.M.tocsr()
+        self._multi_rhs = op.grid.d == 1
         self._lu = None
-        # carried state: the last returned x, B x, and its step number
-        self._x = self._bx = None
+        self._widen(1)
+        # carried state: the last returned x, the next right-hand side, x's step number
+        self._x = self._rhs = None
         self._k = 0
 
     def _direct(self):
@@ -143,37 +135,24 @@ class ThetaStepper:
                 raise SolveError(f"time-step matrix is singular: {exc}") from exc
         return self._lu
 
+    def _widen(self, k):
+        """B, and M where the residual forms M x, as diag(A, ..., A) with k
+        blocks: on a block's column-major memory one product meets each
+        column's entries in A's order, so it gives the bits of k products."""
+        def wide(A):
+            return A if k == 1 else sp.block_diag([A] * k, format="csr")
+        self._width, self._x = k, None      # a carried run of another width ends
+        self._B_k = None if self.B is None else wide(self.B)
+        self._M_k = None if self._fused else wide(self.M.tocsr())
+
     @staticmethod
-    def _times(A, x):
-        """A @ x for a CSR matrix A and a float64 vector x, or column by column
-        for an (n, k) block: the CSR kernel behind `A @ x`, minus scipy's
-        per-call dispatch, which costs about as much as the kernel at d = 1."""
-        ax = np.zeros(x.shape, order="F")
-        if x.ndim == 1:
-            _sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, ax)
-            return ax
-        for x_col, ax_col in zip(x.T, ax.T):
-            _sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data,
-                                    x_col, ax_col)
-        return ax
+    def _add_product(A, x, y):
+        """y += A x for F-ordered (n, k) blocks and A from _widen, by the CSR kernel
+        behind `A @ x` without scipy's dispatch, as costly as the kernel at d = 1."""
+        _sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x.T, y.T)
+        return y
 
-    def _residual(self, x, rhs):
-        """|M x - rhs| / |rhs| (NaN or inf if anything is non-finite), and B x;
-        for an (n, k) block, the list of the k column residuals."""
-        bx = None if self.B is None else self._times(self.B, x)
-        if self._fused:
-            r = x - self.theta * bx
-            r -= (1.0 - self.theta) * rhs
-            r_scale = 1.0 - self.theta
-        else:
-            r = self._times(self._M_csr, x) - rhs
-            r_scale = 1.0
-        if x.ndim == 1:
-            return math.sqrt(r.dot(r)) / r_scale / max(math.sqrt(rhs.dot(rhs)), 1e-300), bx
-        return [math.sqrt(r_col.dot(r_col)) / r_scale / max(math.sqrt(rhs_col.dot(rhs_col)), 1e-300)
-                for r_col, rhs_col in zip(r.T, rhs.T)], bx
-
-    def _fail(self, k, x, bx, residual, where=""):
+    def _fail(self, k, x, bx, residual, where):
         t = k * self.dt
         if not (np.all(np.isfinite(x)) and (bx is None or np.all(np.isfinite(bx)))):
             raise SolveError(f"non-finite state at t = {t:.6g}{where}; "
@@ -181,55 +160,51 @@ class ThetaStepper:
         raise SolveError(f"linear solve residual {residual:.2e} exceeds "
                          f"{SOLVE_RTOL} at t = {t:.6g}{where}")
 
-    def _step_block(self, rhs, k):
-        """Solve every column of the (n, k) block rhs; returns (x, B x)."""
-        if self.op.grid.d == 1:
-            x = self._direct().solve(rhs)
-        else:
-            x = np.asfortranarray(np.column_stack([self._direct().solve(col) for col in rhs.T]))
-        residuals, bx = self._residual(x, rhs)
-        for j, residual in enumerate(residuals):
-            if not residual <= SOLVE_RTOL:
-                x[:, j] = x_j = self._direct().solve(rhs[:, j])
-                residual, bx_j = self._residual(x_j, rhs[:, j])
-                if bx is not None:
-                    bx[:, j] = bx_j
-                if not residual <= SOLVE_RTOL:
-                    self._fail(k, x_j, bx_j, residual, f" in column {j}")
-        return x, bx
-
     def step(self, u):
         """One theta-step from the dof vector u, or from an (n, k) block of k
-        data; returns the new state, read-only."""
-        carried = u is self._x
-        k = self._k + 1 if carried else 1
-        block = u.ndim == 2
-        if self.B is None:
-            rhs = u
-        elif carried:
-            rhs = self._bx
+        data; returns the new state in u's shape, read-only."""
+        if u is self._x:
+            rhs, k = self._rhs, self._k + 1
         else:
-            rhs = self._times(self.B, u) if block else self.B @ u
-        if block:
-            x, bx = self._step_block(rhs, k)
-        else:
+            rhs, k = np.asfortranarray(u if u.ndim == 2 else u[:, None], dtype=float), 1
+            if rhs.ndim != 2 or rhs.shape[0] != self.M.shape[0]:
+                raise ValueError(f"u must have {self.M.shape[0]} rows")
+            if rhs.shape[1] != self._width:
+                self._widen(rhs.shape[1])
+            if self.B is not None:
+                rhs = self._add_product(self._B_k, rhs, np.zeros(rhs.shape, order="F"))
+        if self._multi_rhs:
             x = self._direct().solve(rhs)
-            residual, bx = self._residual(x, rhs)
+        else:
+            x = np.empty(rhs.shape, order="F")
+            for j in range(rhs.shape[1]):
+                x[:, j] = self._direct().solve(rhs[:, j])
+        bx = None if self.B is None else self._add_product(self._B_k, x, np.zeros(x.shape, order="F"))
+        # r = M x - rhs up to the factor r_scale; BLAS takes the F-ordered
+        # blocks as their memory, where column j starts at offset j n
+        if self._fused:
+            r = daxpy(rhs, daxpy(bx, x.copy(order="F"), a=-self.theta), a=self.theta - 1.0)
+            r_scale = 1.0 - self.theta
+        else:
+            r = self._add_product(self._M_k, x, np.negative(rhs))
+            r_scale = 1.0
+        n = x.shape[0]
+        for j in range(x.shape[1]):
+            rr, hh = ddot(r, r, n, j * n, 1, j * n, 1), ddot(rhs, rhs, n, j * n, 1, j * n, 1)
+            residual = math.sqrt(rr) / r_scale / max(math.sqrt(hh), 1e-300)
             if not residual <= SOLVE_RTOL:
-                x = self._direct().solve(rhs)
-                residual, bx = self._residual(x, rhs)
-                if not residual <= SOLVE_RTOL:
-                    self._fail(k, x, bx, residual)
-        x.flags.writeable = False
-        self._x, self._bx, self._k = x, bx, k
-        return x
+                self._fail(k, x[:, j], None if bx is None else bx[:, j], residual,
+                           f" in column {j}" if x.shape[1] > 1 else "")
+        x.setflags(write=False)
+        x_out = x if u.ndim == 2 else x[:, 0]
+        # the next step's right-hand side: B x, or x itself for theta = 1
+        self._x, self._rhs, self._k = x_out, (x if bx is None else bx), k
+        return x_out
 
 
 def step(op: DiscreteOperator, u, dt, theta=0.5):
-    """Single theta-step applied to a dof vector: (I - theta dt A) u+ = (I + (1-theta) dt A) u.
-
-    Returns a new, writable array.
-    """
+    """Single theta-step applied to a dof vector: (I - theta dt A) u+ = (I + (1-theta) dt A) u;
+    returns a new, writable array."""
     u = np.asarray(u, dtype=float)
     if u.shape != (op.matrix.shape[0],):
         raise ValueError(f"u must be a dof vector of length {op.matrix.shape[0]}")
@@ -273,12 +248,10 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     `f` is a GridFunction, and the result its Trajectory; or `f` is a
     sequence of GridFunctions on the operator's grid with its component
     count, and the result is one Trajectory per datum, in order.  The data
-    of a sequence share t_final and the stored times and are stepped as the
-    columns of one block (see ThetaStepper): one factorization, one
-    multi-right-hand-side solve per step at d = 1, the 1e-10 relative
-    residual held column by column, and each Trajectory bitwise equal to
-    evolving that datum alone.  A one-element sequence takes the vector
-    step.
+    share t_final and the stored times and step as the columns of one
+    block, a lone datum as one column (see ThetaStepper): one
+    factorization, the 1e-10 relative residual held column by column, and
+    each Trajectory bitwise equal to evolving that datum alone.
 
     Dirichlet runs store the initial datum exactly and later snapshots with
     zero boundary values.  Aborts with SolveError if a step fails its residual
@@ -293,11 +266,8 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     marks = _store_steps(n_steps, dt, store_every, store_times)
     stepper = ThetaStepper(op, dt, theta)
 
-    if len(data) == 1:
-        u = op.restrict(data[0])
-    else:
-        # (k, n) rows transposed: an (n, k) block whose columns are contiguous
-        u = np.array([op.restrict(g) for g in data]).T
+    # (k, n) rows transposed: an (n, k) block whose columns are contiguous
+    u = np.array([op.restrict(g) for g in data]).T
     times = [0.0]
     snapshots = [[g.copy()] for g in data]
     next_marks = [k for k in marks if k > 0]
@@ -306,7 +276,7 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
         u = stepper.step(u)
         if mark_pos < len(next_marks) and k == next_marks[mark_pos]:
             times.append(k * dt)
-            for snaps, column in zip(snapshots, u.T if u.ndim == 2 else [u]):
+            for snaps, column in zip(snapshots, u.T):
                 snaps.append(op.embed(column))
             mark_pos += 1
     trajectories = [Trajectory(times=np.array(times), snapshots=snaps, grid=op.grid,

@@ -13,7 +13,6 @@ from kolsys.hypotheses import (
     estimate_kp,
     irreducibility_brute_force,
     irreducibility_graph,
-    refine,
     spectral_check_C,
 )
 
@@ -69,7 +68,9 @@ def test_kernel_zeta3():
 
 def test_kernel_refinement_stability():
     kv1 = compute_common_kernel(poly_family(), SPEC)
-    kv2 = compute_common_kernel(poly_family(), refine(SPEC))
+    fine = SampleSpec(radius=SPEC.radius, n_per_axis=2 * SPEC.n_per_axis - 1,
+                      n_annuli=SPEC.n_annuli)
+    kv2 = compute_common_kernel(poly_family(), fine)
     assert np.linalg.norm(kv1.xi - kv2.xi) <= 1e-8
 
 

@@ -294,6 +294,29 @@ def test_counterexample_neutral_direction(setup):
     assert rep.passed
 
 
+# -- negative controls: inputs the theory says violate the property ------------
+
+def test_counterexample_coupling_fails_invariance_and_lp_bound(setup):
+    # C = +I (the paper's counterexample): both components grow like e^t, so
+    # neither the measure system's integral nor the L^2 bound survives
+    _, grid, _, _, _, _, sys = setup
+    op = assemble_system_operator(constant_c_field(np.eye(2)), grid)
+    traj = evolve(op, tanh_gauss(grid), 1.0, dt=1e-2, store_times=[0.5, 1.0])
+    assert verify_invariance(traj, sys).status == "fail"
+    assert verify_lp_bound(traj, sys, p=2.0).status == "fail"
+
+
+def test_negative_off_diagonal_coupling_fails_positivity(setup):
+    # -u_1 drives the second component, which starts at 0, below zero
+    _, grid, *_ = setup
+    op = assemble_system_operator(constant_c_field([[-1.0, -1.0], [-1.0, -1.0]]), grid)
+    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[0] ** 2), 0.0])
+    traj = evolve(op, f, 1.0, dt=1e-2, theta=1.0, store_times=[0.5, 1.0])
+    rep = verify_positivity(traj)
+    assert rep.status == "fail"
+    assert rep.measured < -1e-3
+
+
 def test_counterexample_requires_constant_coupling(setup):
     field, grid, *_ = setup                   # exchange2 has x-dependent coupling
     f = xi_function(grid)

@@ -86,6 +86,15 @@ def test_step_rejects_non_vector():
         step(op, np.stack([u, u], axis=1), dt=1e-2)
 
 
+def test_stepper_rejects_wrong_length():
+    # a block's first product runs the bare CSR kernel, which checks no sizes
+    op, data = _block_operator("system")
+    n = op.matrix.shape[0]
+    for bad in (np.zeros(n - 1), np.zeros((n + 1, 3)), np.zeros((n, 2, 2))):
+        with pytest.raises(ValueError, match=f"u must have {n} rows"):
+            ThetaStepper(op, 1e-2, 0.5).step(bad)
+
+
 def test_stepper_carries_read_only_state():
     field = exchange2_field()
     grid = build_grid(1, 6.0, 41, "neumann")
@@ -148,7 +157,7 @@ def _perturb_solves_from(monkeypatch, first_call):
 @pytest.mark.parametrize("theta", [0.0, 0.5, 0.995, 1.0])
 def test_evolve_rejects_solution_off_by_1e8(monkeypatch, theta):
     # negative control for the per-step residual check, on every product path:
-    # steps 1-29 are exact, step 30 and its direct retry are 1e-8 off
+    # steps 1-29 are exact, step 30 is 1e-8 off
     field = exchange2_field()
     grid = build_grid(1, 6.0, 81, "neumann")
     op = assemble_system_operator(field, grid)
@@ -458,28 +467,26 @@ def test_block_step_columns_equal_vector_steps():
         assert np.array_equal(x[:, j], alone.step(alone.step(block[:, j].copy())))
 
 
+def _perturbed(x, rng):
+    """x off by 1e-8 relative in a random direction."""
+    w = rng.standard_normal(x.shape)
+    return x + 1e-8 * np.linalg.norm(x) / np.linalg.norm(w) * w
+
+
 def _perturb_column_from(monkeypatch, column, first_step):
     """From the `first_step`-th block solve on, return the true solution with
-    `column` perturbed by 1e-8 relative, and so every direct retry after it."""
+    `column` perturbed by 1e-8 relative."""
     real_direct = ThetaStepper._direct
     block_solves = itertools.count(1)
     rng = np.random.default_rng(3)
-    late = [False]
-
-    def perturbed(x):
-        w = rng.standard_normal(x.shape)
-        return x + 1e-8 * np.linalg.norm(x) / np.linalg.norm(w) * w
 
     def direct(self):
         lu = real_direct(self)
 
         def solve(rhs):
             x = lu.solve(rhs)
-            if x.ndim == 1:
-                return perturbed(x) if late[0] else x
-            late[0] = next(block_solves) >= first_step
-            if late[0]:
-                x[:, column] = perturbed(x[:, column])
+            if next(block_solves) >= first_step:
+                x[:, column] = _perturbed(x[:, column], rng)
             return x
 
         return SimpleNamespace(solve=solve)
@@ -498,12 +505,60 @@ def test_batched_evolve_rejects_one_column_off_by_1e8(monkeypatch, theta):
         evolve(op, data, t_final=0.5, dt=1e-2, theta=theta)
 
 
+@pytest.mark.parametrize("kind", ["system", "d2"])
+@pytest.mark.parametrize("k", [None, 3])
+def test_failing_column_raises_after_its_one_solve(monkeypatch, kind, k):
+    # the solve is deterministic, so a column whose solve misses the residual
+    # fails the step at once; k = None steps a dof vector
+    op, data = _block_operator(kind)
+    stepper = ThetaStepper(op, 1e-2, 0.5)
+    u = op.restrict(data[0]) if k is None else np.array([op.restrict(f) for f in data[:k]]).T
+    bad = 0 if k is None else 1
+    bad_rhs = stepper.B @ (u if k is None else u[:, bad])
+    real_direct = ThetaStepper._direct
+    rng = np.random.default_rng(5)
+    solved = []                                  # one entry per column solved
+
+    def direct(self):
+        lu = real_direct(self)
+
+        def solve(rhs):
+            x = lu.solve(rhs)
+            cols = x[:, None] if x.ndim == 1 else x
+            for j, rhs_j in enumerate(rhs.T if rhs.ndim == 2 else [rhs]):
+                solved.append(np.array_equal(rhs_j, bad_rhs))
+                if solved[-1]:
+                    cols[:, j] = _perturbed(cols[:, j], rng)
+            return x
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(ThetaStepper, "_direct", direct)
+    where = "" if k is None else f" in column {bad}"
+    with pytest.raises(SolveError, match=rf"residual \S+ exceeds 1e-10 at t = 0\.01{where}$"):
+        stepper.step(u)
+    assert len(solved) == (1 if k is None else k)
+    assert solved.count(True) == 1
+
+
 def test_block_step_nan_in_one_column_raises():
     op, data = _block_operator("system")
     block = np.array([op.restrict(f) for f in data[:3]]).T
     block[7, 1] = np.nan
     with pytest.raises(SolveError, match=r"non-finite state at t = 0\.01 in column 1; "):
         ThetaStepper(op, 1e-2, 0.5).step(block)
+
+
+def test_failed_wider_step_ends_the_carried_run():
+    op, data = _block_operator("system")
+    block = np.array([op.restrict(f) for f in data[:3]]).T
+    stepper = ThetaStepper(op, 1e-2, 0.5)
+    x = stepper.step(block[:, :2].copy())
+    wider = block.copy()
+    wider[7, 2] = np.nan
+    with pytest.raises(SolveError, match="in column 2"):
+        stepper.step(wider)
+    assert np.array_equal(stepper.step(x), ThetaStepper(op, 1e-2, 0.5).step(x.copy()))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
