@@ -27,7 +27,7 @@ from kolsys.config import (
     parse_config,
     time_from_config,
 )
-from kolsys.coefficients import BuiltinFamily, derivative_bundle, make_builtin
+from kolsys.coefficients import BuiltinFamily, derivative_bundle, make_builtin, rowdot
 from kolsys.discretization import (
     GridFunction,
     assemble_scalar_operator,
@@ -280,7 +280,7 @@ def _suite_core(cfg, field):
     xi_gf = _constant_function(grid, xi.xi)
     eta_gf = _constant_function(grid, _orthogonal_constant(xi.xi))
     sine = grid_function_from_callable(
-        grid, lambda x: [np.sin(x[0])] * field.dim_m, m=field.dim_m)
+        grid, lambda x: [np.sin(x[..., 0])] * field.dim_m, m=field.dim_m)
     reports.append(verify_fixed_points(
         field, grid, [(xi_gf, True), (eta_gf, False), (sine, False)], dt=dt,
         theta=theta, fp_tol=cfg.get_float("verify", "fp_tol", 1e-8),
@@ -290,7 +290,7 @@ def _suite_core(cfg, field):
     op_s = assemble_scalar_operator(field, grid)
 
     pos_datum = grid_function_from_callable(
-        grid, lambda x: [np.exp(-np.dot(x, x))] + [0.0] * (field.dim_m - 1),
+        grid, lambda x: [np.exp(-rowdot(x, x))] + [0.0] * (field.dim_m - 1),
         m=field.dim_m)
     t_pos = max(1.0, min(2.0, t_final))
     traj_pos = evolve(op, pos_datum, t_pos, dt=dt, theta=1.0,
@@ -338,7 +338,7 @@ def _suite_rates(cfg, field):
     eps = 2.0 * grid.h
 
     def radial(x):
-        return x[0] if grid.d == 1 else float(np.linalg.norm(x)) * np.sign(x[0] + 1e-300)
+        return x[..., 0] if grid.d == 1 else np.sqrt(rowdot(x, x)) * np.sign(x[..., 0] + 1e-300)
 
     pad = [0.0] * (field.dim_m - 1)
     f_step = grid_function_from_callable(
@@ -346,7 +346,7 @@ def _suite_rates(cfg, field):
     f_kink = grid_function_from_callable(
         grid, lambda x: [eps * np.log(np.cosh(radial(x) / eps))] + pad, m=field.dim_m)
     f_smooth = grid_function_from_callable(
-        grid, lambda x: [np.tanh(x[0]), np.exp(-np.dot(x, x))] + pad[1:], m=field.dim_m)
+        grid, lambda x: [np.tanh(x[..., 0]), np.exp(-rowdot(x, x))] + pad[1:], m=field.dim_m)
 
     # (k, h) = (1, 0) and (2, 0) share f_step and its denominator: each
     # distinct run happens once

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kolsys.coefficients import BuiltinFamily, make_builtin
+from kolsys.coefficients import BuiltinFamily, libm_pow, make_builtin, rowdot
+from kolsys.discretization import build_grid, grid_function_from_callable
 
 
 class ConfigError(Exception):
@@ -167,7 +168,6 @@ def field_from_config(cfg: RunConfig):
 
 
 def grid_from_config(cfg: RunConfig, boundary_override=None):
-    from kolsys.discretization import build_grid
     cfg.require_section("grid")
     d = cfg.get_int("problem", "d", 1)
     L = cfg.get_float("grid", "L", 6.0)
@@ -213,11 +213,12 @@ def ladder_from_config(cfg: RunConfig):
     return pairs
 
 
+# each builder takes points of shape (N, d) and returns one value per point
 DATA_BUILDERS = {
-    "tanh": lambda x: np.tanh(x[0]),
-    "gauss": lambda x: np.exp(-np.dot(x, x)),
-    "bump": lambda x: (1 - np.dot(x, x) / 4.0) ** 3 if np.dot(x, x) < 4.0 else 0.0,
-    "sin": lambda x: np.sin(x[0]),
+    "tanh": lambda x: np.tanh(x[..., 0]),
+    "gauss": lambda x: np.exp(-rowdot(x, x)),
+    "bump": lambda x: np.where(rowdot(x, x) < 4.0, libm_pow(1 - rowdot(x, x) / 4.0, 3), 0.0),
+    "sin": lambda x: np.sin(x[..., 0]),
     "one": lambda x: 1.0,
     "zero": lambda x: 0.0,
 }
@@ -242,5 +243,4 @@ def data_callable(cfg: RunConfig, m):
 
 
 def data_from_config(cfg: RunConfig, grid, m):
-    from kolsys.discretization import grid_function_from_callable
     return grid_function_from_callable(grid, data_callable(cfg, m), m=m)

@@ -121,13 +121,16 @@ class GridFunction:
 
 
 def grid_function_from_callable(grid, fn, m=None):
-    """Sample a callable x -> scalar or x -> (m,) on the grid nodes."""
-    first = np.atleast_1d(np.asarray(fn(grid.nodes[0]), dtype=float))
-    m = len(first) if m is None else m
-    values = np.empty((m, grid.n_nodes))
-    for idx, x in enumerate(grid.nodes):
-        values[:, idx] = np.atleast_1d(np.asarray(fn(x), dtype=float))
-    return GridFunction(grid, values)
+    """Sample `fn` in one call on the (N, d) node array: it returns one
+    component or a list of m, each an (N,) array or a constant."""
+    out = fn(grid.nodes)
+    comps = [np.asarray(c, dtype=float) for c in (out if isinstance(out, (list, tuple)) else [out])]
+    n, m = grid.n_nodes, len(comps) if m is None else m
+    if len(comps) != m or any(c.shape not in ((), (n,)) for c in comps):
+        raise ValueError(f"expected {m} component(s) of shape ({n},), one value per row of "
+                         f"the ({n}, {grid.d}) node array, or constants; got shapes "
+                         f"{[c.shape for c in comps]}")
+    return GridFunction(grid, np.array([np.broadcast_to(c, (n,)) for c in comps]))
 
 
 @dataclass

@@ -14,14 +14,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kolsys.coefficients import CoefficientField
+from kolsys.coefficients import CoefficientField, libm_pow
 from kolsys.discretization import (
     Grid,
     GridFunction,
     assemble_adjoint_operator,
     assemble_scalar_operator,
+    build_grid,
     fd_gradient,
     fd_hessian_frobenius_sq,
+    grid_function_from_callable,
 )
 from kolsys.hypotheses import KernelVector
 from kolsys.reports import PropertyReport, Witness
@@ -213,14 +215,12 @@ def check_infinitesimal_invariance(field: CoefficientField, mu: MeasureDensity,
                                    test_functions, inv_tol=1e-4) -> PropertyReport:
     """|int A0 psi dmu| <= inv_tol * ||psi||_C2 for compactly supported psi."""
     grid = mu.grid
-    op = assemble_scalar_operator(
-        field, grid if grid.boundary_kind == "dirichlet" else
-        _dirichlet_twin(grid))
+    op = assemble_scalar_operator(field, build_grid(grid.d, grid.L, grid.n_per_axis, "dirichlet"))
     test_functions = list(test_functions)
     worst = 0.0
     witness = None
     for psi_fn in test_functions:
-        psi = np.array([float(psi_fn(x)) for x in grid.nodes])
+        psi = grid_function_from_callable(grid, psi_fn, m=1).values[0]
         c2 = _c2_norm(psi, grid)
         a_psi = np.zeros(grid.n_nodes)
         a_psi[op.dof_indices] = op.matrix @ psi[op.dof_indices]
@@ -237,11 +237,6 @@ def check_infinitesimal_invariance(field: CoefficientField, mu: MeasureDensity,
                           details={"n_test_functions": len(test_functions)})
 
 
-def _dirichlet_twin(grid):
-    from kolsys.discretization import build_grid
-    return build_grid(grid.d, grid.L, grid.n_per_axis, "dirichlet")
-
-
 def _c2_norm(psi, grid):
     grad = fd_gradient(psi, grid)
     hess_sq = fd_hessian_frobenius_sq(psi, grid)
@@ -251,11 +246,12 @@ def _c2_norm(psi, grid):
 
 
 def bump_function(center, width):
-    """C^2 polynomial bump (1 - r^2)^3 supported on |x - center| < width."""
+    """C^2 polynomial bump (1 - r^2)^3 supported on |x - center| < width, as a
+    function of points of shape (N, d) with one value per point."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
 
     def psi(x):
-        r2 = float(np.sum((np.atleast_1d(x) - center) ** 2)) / width ** 2
-        return (1.0 - r2) ** 3 if r2 < 1.0 else 0.0
+        r2 = np.sum((x - center) ** 2, axis=-1) / width ** 2
+        return np.where(r2 < 1.0, libm_pow(1.0 - r2, 3), 0.0)
 
     return psi

@@ -19,7 +19,12 @@ from kolsys.discretization import (
     fd_gradient,
     fd_hessian_frobenius_sq,
 )
-from kolsys.invariant_measure import MeasureDensity, MeasureSystem
+from kolsys.invariant_measure import (
+    MeasureDensity,
+    MeasureSystem,
+    functional_Mf,
+    solve_scalar_invariant_density,
+)
 from kolsys.reports import PropertyReport, RateFit, Witness
 from kolsys.semigroup import Trajectory, evolve
 
@@ -116,12 +121,12 @@ def verify_invariance(traj_vec: Trajectory, sys: MeasureSystem,
                       inv_tol=INV_TOL) -> PropertyReport:
     """Relative drift of sum_j int (T(t)f)_j dmu_j over the stored times."""
     f = traj_vec.snapshots[0]
-    baseline = sum(sys.component_integrate(j, f.values[j]) for j in range(f.m))
+    baseline = functional_Mf(f, sys)
     denom = max(abs(baseline), sys.scale * f.sup_norm_vector())
     worst = 0.0
     witness = None
     for t, snap in zip(traj_vec.times, traj_vec.snapshots):
-        total = sum(sys.component_integrate(j, snap.values[j]) for j in range(snap.m))
+        total = functional_Mf(snap, sys)
         rel = abs(total - baseline) / denom
         if rel >= worst:
             worst = float(rel)
@@ -318,8 +323,6 @@ def verify_longtime(traj_vec: Trajectory, sys: MeasureSystem, r_obs=3.0,
     quadrature M_f and the plateau of <T(t)f, xi>; they must agree within
     `plateau_tol`.  The L^2_mu distance at the final time is checked as well.
     """
-    from kolsys.invariant_measure import functional_Mf
-
     f = traj_vec.snapshots[0]
     grid = f.grid
     window = grid.window_mask(r_obs)
@@ -417,7 +420,6 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
         if not np.allclose(field.C(x), C0, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(C0))):
             raise ValueError("counterexample mode requires a constant coupling matrix")
     sym_max = float(np.max(np.linalg.eigvalsh(0.5 * (C0 + C0.T))))
-    sym_min = float(np.min(np.linalg.eigvalsh(0.5 * (C0 + C0.T))))
 
     op = assemble_system_operator(field, grid)
     traj = evolve(op, f, t_final=t_final, dt=dt, theta=theta)
@@ -432,21 +434,7 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
     weights = np.asarray(weights, dtype=float)
 
     tol = 1e-12 * max(1.0, np.linalg.norm(C0))
-    if sym_max > tol:
-        if mu_hat is None:
-            from kolsys.invariant_measure import solve_scalar_invariant_density
-            mu_hat = solve_scalar_invariant_density(field, grid)
-        mass = np.array([sum(weights[j] * mu_hat.integrate(s.values[j])
-                             for j in range(s.m)) for s in traj.snapshots])
-        usable = mass > 0
-        lam, _ = np.polyfit(times[usable & sel], np.log(mass[usable & sel]), 1)
-        factor = mass[-1] / mass[0]
-        ok = lam > 0 and factor >= np.exp(lam * (times[-1] - times[0])) / 2.0
-        return PropertyReport(name="counterexample_growth",
-                              status="pass" if ok else "fail",
-                              measured=float(lam), bound=0.0, tolerance=0.0,
-                              details={"mode": "growth", "mass_factor": float(factor)})
-    if sym_min < -tol and sym_max < -tol:
+    if sym_max < -tol:
         sup = np.array([s.sup_norm_vector() for s in traj.snapshots])
         usable = sup > 1e-300
         sigma, _ = np.polyfit(times[usable & sel], np.log(sup[usable & sel]), 1)
@@ -458,15 +446,25 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
                               measured=float(sigma), bound=0.0, tolerance=0.1,
                               details={"mode": "decay", "envelope_ok": envelope_ok})
 
-    # neutral direction: mass along the kernel of C is conserved
     if mu_hat is None:
-        from kolsys.invariant_measure import solve_scalar_invariant_density
         mu_hat = solve_scalar_invariant_density(field, grid)
-    null = scipy.linalg.null_space(C0, rcond=1e-10)
-    if null.shape[1] >= 1:
-        weights = null[:, 0] if null[0, 0] > 0 else -null[:, 0]
+    growth = sym_max > tol
+    if not growth:
+        # neutral direction: mass along the kernel of C is conserved
+        null = scipy.linalg.null_space(C0, rcond=1e-10)
+        if null.shape[1] >= 1:
+            weights = null[:, 0] if null[0, 0] > 0 else -null[:, 0]
     mass = np.array([sum(weights[j] * mu_hat.integrate(s.values[j])
                          for j in range(s.m)) for s in traj.snapshots])
+    if growth:
+        usable = mass > 0
+        lam, _ = np.polyfit(times[usable & sel], np.log(mass[usable & sel]), 1)
+        factor = mass[-1] / mass[0]
+        ok = lam > 0 and factor >= np.exp(lam * (times[-1] - times[0])) / 2.0
+        return PropertyReport(name="counterexample_growth",
+                              status="pass" if ok else "fail",
+                              measured=float(lam), bound=0.0, tolerance=0.0,
+                              details={"mode": "growth", "mass_factor": float(factor)})
     drift = float(np.max(np.abs(mass - mass[0])))
     ok = drift <= 1e-6 * max(1.0, abs(mass[0]))
     return PropertyReport(name="counterexample_neutral",

@@ -79,7 +79,7 @@ def long_traj_e1(exch):
 def tanh_gauss(exch):
     _, grid, *_ = exch
     return grid_function_from_callable(
-        grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)])
+        grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)])
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_scalar_invariance(exch):
     field, grid, _, op_s, _, mu, _ = exch
     worst = 0.0
-    for fn in (lambda x: np.tanh(x[0]), lambda x: np.exp(-x[0] ** 2)):
+    for fn in (lambda x: np.tanh(x[..., 0]), lambda x: np.exp(-x[..., 0] ** 2)):
         f = grid_function_from_callable(grid, fn, m=1)
         traj = evolve(op_s, f, 10.0, dt=DT, theta=0.5, store_times=[0.1, 1.0, 10.0])
         base = mu.integrate(f.values[0])
@@ -132,7 +132,7 @@ def test_criterion_03_system_invariance(exch, cn_traj):
     xi3 = compute_common_kernel(field3, SampleSpec(L, 81))
     sys3 = build_measure_system(xi3, mu, 1.0)
     f3 = grid_function_from_callable(
-        grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2),
+        grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2),
                          bump_function([0.0], 2.0)(x)])
     traj3 = evolve(op3, f3, 10.0, dt=DT, theta=0.5, store_times=[0.1, 1.0, 10.0])
     rep3 = verify_invariance(traj3, sys3, inv_tol=1e-2)
@@ -145,7 +145,7 @@ def test_criterion_03_system_invariance(exch, cn_traj):
 
 def test_criterion_04_positivity(exch):
     _, grid, op, *_ = exch
-    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[0] ** 2), 0.0])
+    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[..., 0] ** 2), 0.0])
     traj = evolve(op, f, 2.0, dt=DT, theta=1.0, store_every=50)
     rep = verify_positivity(traj, pos_tol=1e-8, pos_floor=1e-6, r_obs=R_OBS)
     ok = rep.passed
@@ -188,11 +188,11 @@ def test_criterion_07_gradient_rates():
     grid = build_grid(1, 4.0, 1281, "neumann")
     eps = 2 * grid.h
     f_step = grid_function_from_callable(
-        grid, lambda x: [np.tanh(x[0] / eps), 0.0])
+        grid, lambda x: [np.tanh(x[..., 0] / eps), 0.0])
     f_kink = grid_function_from_callable(
-        grid, lambda x: [eps * np.log(np.cosh(x[0] / eps)), 0.0])
+        grid, lambda x: [eps * np.log(np.cosh(x[..., 0] / eps)), 0.0])
     f_smooth = grid_function_from_callable(
-        grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)])
+        grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)])
 
     ok = True
     details = []
@@ -357,7 +357,7 @@ def test_criterion_14_nested_domains():
     # on every rung; the quartic drift would push all rungs to roundoff
     field = family(beta=0.0, b0=0.5)
     result = solve_nested(field,
-                          lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)],
+                          lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)],
                           t_final=5.0,
                           ladder=[(4.0, 161), (6.0, 241), (8.0, 321)],
                           nest_tol=1e-3, r_obs=R_OBS, dt=4e-3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin
+from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin, rowdot
 from kolsys.discretization import (
     GridFunction,
     assemble_adjoint_operator,
@@ -135,7 +135,7 @@ def test_scalar_operator_convergence_order(d, ns):
     field = make_builtin(fam)
 
     def u_fn(x):
-        return np.exp(-np.dot(x, x))
+        return np.exp(-rowdot(x, x))
 
     def analytic(x):
         u = np.exp(-np.dot(x, x))
@@ -165,8 +165,8 @@ def test_dirichlet_and_neumann_agree_on_compact_support():
     op_n = assemble_scalar_operator(field, grid_n)
 
     def bump(x):
-        r2 = np.dot(x, x) / 4.0
-        return (1 - r2) ** 3 if r2 < 1 else 0.0
+        r2 = rowdot(x, x) / 4.0
+        return np.where(r2 < 1, (1 - r2) ** 3, 0.0)
 
     u = grid_function_from_callable(grid_d, bump, m=1)
     a_d = op_d.apply(u).values[0]
@@ -181,11 +181,29 @@ def test_grid_function_rejects_nonfinite():
         GridFunction(grid, np.full((1, grid.n_nodes), np.nan))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_function_samples_all_nodes_in_one_call(d):
+    grid = build_grid(d, 1.0, 5)
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        return [np.tanh(x[..., 0]), 2.0]
+
+    f = grid_function_from_callable(grid, fn)
+    assert calls == [(grid.n_nodes, d)]
+    assert np.array_equal(f.values[0], np.tanh(grid.nodes[:, 0]))
+    assert np.all(f.values[1] == 2.0)
+    # written for one point, the callable returns d values where N are expected
+    with pytest.raises(ValueError, match=rf"shape \({grid.n_nodes},\)"):
+        grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), 2.0])
+
+
 def test_restrict_embed_roundtrip():
     grid = build_grid(1, 2.0, 9, "dirichlet")
     field = exchange2_field()
     op = assemble_system_operator(field, grid)
-    f = grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)])
+    f = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)])
     back = op.embed(op.restrict(f))
     assert np.allclose(back.values[:, op.dof_indices], f.values[:, op.dof_indices])
     assert np.all(back.values[:, grid.boundary_mask()] == 0.0)

@@ -160,11 +160,39 @@ def test_kp_second_order_ratios():
 
 def test_spectral_check_builtin_families():
     rng = np.random.default_rng(3)
-    pts = rng.uniform(-6, 6, size=(200, 1))
-    for kind, m in [("exchange2", 2), ("zeta3", 3)]:
-        rep = spectral_check_C(poly_family(kind=kind, m=m), pts)
+    pts = {1: rng.uniform(-6, 6, size=(200, 1)), 2: rng.uniform(-6, 6, size=(400, 2))}
+    for kind, m, d in [("exchange2", 2, 1), ("zeta3", 3, 1), ("exchange2", 2, 2)]:
+        rep = spectral_check_C(poly_family(kind=kind, m=m, d=d), pts[d])
         assert rep.passed
         assert rep.details["kernel_angle"] <= 1e-8
+
+
+def test_spectral_check_pass_witness_is_the_largest_real_part():
+    field = poly_family(kind="zeta3", m=3)
+    pts = np.random.default_rng(3).uniform(-6, 6, size=(200, 1))
+    rep = spectral_check_C(field, pts)
+    re_max = [np.max(np.linalg.eigvals(C).real) / max(1.0, np.linalg.norm(C))
+              for C in field.C(pts)]
+    i = int(np.argmax(re_max))
+    assert rep.passed and i > 0
+    assert rep.witness.x == tuple(pts[i])
+    assert rep.witness.value == rep.measured == re_max[i]
+
+
+def test_spectral_check_kernel_mismatch_fails():
+    # Ker C = span(1, 1) and Ker C^T = span(0, 1) meet at an angle of pi/4
+    pts = np.linspace(-3.0, 3.0, 7)[:, None]
+    rep = spectral_check_C(constant_field([[-1.0, 1.0], [0.0, 0.0]]), pts)
+    assert rep.status == "fail"
+    assert rep.details["kernel_angle"] == pytest.approx(np.pi / 4, rel=1e-12)
+    assert rep.witness.x == (-3.0,)
+
+
+def test_spectral_check_fails_without_kernel_inside_eigenvalue_tolerance():
+    # both eigenvalues lie within tol_eig of 0, but C has no kernel
+    rep = spectral_check_C(constant_field(np.diag([-1e-12, -2e-12])), np.zeros((1, 1)))
+    assert rep.status == "fail"
+    assert rep.details["reason"] == "zero eigenvalue or kernel missing"
 
 
 def test_spectral_check_exchange2_eigenvalues_at_origin():

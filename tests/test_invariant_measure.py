@@ -158,7 +158,7 @@ def test_functional_mf_examples():
     f_e1 = GridFunction(grid, np.vstack([np.ones(grid.n_nodes), np.zeros(grid.n_nodes)]))
     assert functional_Mf(f_e1, sys) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
 
-    f_odd = grid_function_from_callable(grid, lambda x: [np.sin(x[0]), x[0] ** 3])
+    f_odd = grid_function_from_callable(grid, lambda x: [np.sin(x[..., 0]), x[..., 0] ** 3])
     assert abs(functional_Mf(f_odd, sys)) <= 1e-10
 
 
@@ -167,7 +167,7 @@ def test_scale_doubling_doubles_mf():
     field = field_1d()
     mu = solve_scalar_invariant_density(field, grid)
     xi = compute_common_kernel(field, SPEC)
-    f = grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)])
+    f = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)])
     m1 = functional_Mf(f, build_measure_system(xi, mu, c=1.0))
     m2 = functional_Mf(f, build_measure_system(xi, mu, c=2.0))
     assert m2 == pytest.approx(2.0 * m1, rel=1e-10)

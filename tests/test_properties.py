@@ -62,7 +62,7 @@ def xi_function(grid):
 
 
 def tanh_gauss(grid):
-    return grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)])
+    return grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)])
 
 
 def test_domination_fixed_point_equality(setup):
@@ -100,7 +100,7 @@ def test_domination_rejects_mismatched_times(setup):
 
 def test_positivity_coupling_floor(setup):
     field, grid, op, *_ = setup
-    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[0] ** 2), 0.0])
+    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[..., 0] ** 2), 0.0])
     traj = evolve(op, f, 1.5, dt=1e-3, theta=1.0, store_times=[0.5, 1.0, 1.5])
     rep = verify_positivity(traj)
     assert rep.passed
@@ -147,7 +147,7 @@ def test_fixed_points(setup):
     xi_gf = xi_function(grid)
     eta = GridFunction(grid, np.repeat((np.array([1.0, -1.0]) / np.sqrt(2))[:, None],
                                        grid.n_nodes, axis=1))
-    sine = grid_function_from_callable(grid, lambda x: [np.sin(x[0]), np.sin(x[0])])
+    sine = grid_function_from_callable(grid, lambda x: [np.sin(x[..., 0]), np.sin(x[..., 0])])
     rep = verify_fixed_points(field, grid, [(xi_gf, True), (eta, False), (sine, False)],
                               dt=1e-3)
     assert rep.passed
@@ -158,7 +158,7 @@ def test_fixed_points(setup):
 def test_gradient_rate_smooth_bounded(setup):
     field, *_ = setup
     grid = build_grid(1, 4.0, 321, "neumann")
-    f = grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)])
+    f = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)])
     fit = estimate_gradient_rate(field, f, p=2.0, k=1, h=1, r_obs=3.0, dt=5e-4)
     assert fit.product_exponent == 0.0
     assert fit.product_ratio <= 10.0
@@ -184,8 +184,8 @@ def test_gradient_rates_batch_equals_single_estimates(setup):
     # fit must equal its own estimate_gradient_rate exactly
     field, *_ = setup
     grid = build_grid(1, 4.0, 161, "neumann")
-    f_step = grid_function_from_callable(grid, lambda x: [np.tanh(x[0] / 0.1), 0.0])
-    f_smooth = grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), np.exp(-x[0] ** 2)])
+    f_step = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0] / 0.1), 0.0])
+    f_smooth = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)])
     cases = [(f_step, 1, 0, 50.0), (f_step, 2, 0, 50.0), (f_step, 2, 1, 50.0),
              (f_smooth, 1, 1, 10.0)]
     fits = estimate_gradient_rates(field, cases, p=2.0, dt=5e-4)
@@ -310,7 +310,7 @@ def test_negative_off_diagonal_coupling_fails_positivity(setup):
     # -u_1 drives the second component, which starts at 0, below zero
     _, grid, *_ = setup
     op = assemble_system_operator(constant_c_field([[-1.0, -1.0], [-1.0, -1.0]]), grid)
-    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[0] ** 2), 0.0])
+    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[..., 0] ** 2), 0.0])
     traj = evolve(op, f, 1.0, dt=1e-2, theta=1.0, store_times=[0.5, 1.0])
     rep = verify_positivity(traj)
     assert rep.status == "fail"

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin
+from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin, rowdot
 from kolsys.discretization import (
     DiscreteOperator,
     GridFunction,
@@ -34,7 +34,7 @@ def exchange2_field(gamma=0.0, beta=1.0, b0=1.0):
 
 
 def tanh_gauss(x):
-    return [np.tanh(x[0]), np.exp(-x[0] ** 2)]
+    return [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)]
 
 
 def test_step_zero_operator_is_identity():
@@ -216,7 +216,7 @@ def test_implicit_euler_sup_nonexpansive():
     field = exchange2_field()
     grid = build_grid(1, 6.0, 161, "neumann")
     op = assemble_scalar_operator(field, grid)
-    f = grid_function_from_callable(grid, lambda x: np.tanh(x[0]))
+    f = grid_function_from_callable(grid, lambda x: np.tanh(x[..., 0]))
     traj = evolve(op, f, t_final=0.5, dt=5e-3, theta=1.0, store_every=1)
     sups = [np.max(np.abs(s.values)) for s in traj.snapshots]
     for prev, nxt in zip(sups, sups[1:]):
@@ -227,7 +227,7 @@ def test_positivity_of_nonnegative_data():
     field = exchange2_field()
     grid = build_grid(1, 6.0, 161, "neumann")
     op = assemble_system_operator(field, grid)
-    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[0] ** 2), 0.0])
+    f = grid_function_from_callable(grid, lambda x: [np.exp(-x[..., 0] ** 2), 0.0])
     traj = evolve(op, f, t_final=1.0, dt=2e-3, theta=1.0)
     assert min(np.min(s.values) for s in traj.snapshots) >= -1e-8
 
@@ -339,8 +339,8 @@ def test_nested_small_time_compact_support():
     field = exchange2_field()
 
     def bump(x):
-        r2 = x[0] ** 2
-        val = (1 - r2) ** 3 if r2 < 1 else 0.0
+        r2 = x[..., 0] ** 2
+        val = np.where(r2 < 1, (1 - r2) ** 3, 0.0)
         return [val, 0.5 * val]
 
     result = solve_nested(field, bump, t_final=0.01,
@@ -363,7 +363,7 @@ def test_evolve_2d_markov_and_positivity():
     assert np.max(np.abs(traj.snapshots[-1].values - f.values)) <= 1e-9
 
     g = grid_function_from_callable(
-        grid, lambda x: [np.exp(-np.dot(x, x)), 0.0])
+        grid, lambda x: [np.exp(-rowdot(x, x)), 0.0])
     traj_g = evolve(op, g, t_final=0.05, dt=1e-2, theta=1.0)
     assert min(np.min(s.values) for s in traj_g.snapshots) >= -1e-8
 
@@ -387,7 +387,7 @@ def test_2d_steps_take_one_direct_factor_in_mmd_order(monkeypatch):
     grid = build_grid(2, 3.0, 71, "neumann")
     op = assemble_system_operator(make_builtin(fam), grid)
     u = op.restrict(grid_function_from_callable(
-        grid, lambda x: [np.exp(-np.dot(x, x)), np.tanh(x[0] - x[1])]))
+        grid, lambda x: [np.exp(-rowdot(x, x)), np.tanh(x[..., 0] - x[..., 1])]))
     stepper = ThetaStepper(op, 1e-2, 0.5)
     x = stepper.step(u)
     for _ in range(4):
@@ -426,12 +426,12 @@ def _block_operator(kind):
         grid = build_grid(1, 6.0, 81, "neumann")
     if kind == "scalar":
         op = assemble_scalar_operator(field, grid)
-        data = [grid_function_from_callable(grid, lambda x, a=a: np.tanh(a * x[0]), m=1)
+        data = [grid_function_from_callable(grid, lambda x, a=a: np.tanh(a * x[..., 0]), m=1)
                 for a in (0.5, 1.0, 2.0, 3.0)]
     else:
         op = assemble_system_operator(field, grid)
         data = [grid_function_from_callable(
-            grid, lambda x, a=a: [np.tanh(a * x[0]), np.exp(-a * np.dot(x, x))])
+            grid, lambda x, a=a: [np.tanh(a * x[..., 0]), np.exp(-a * rowdot(x, x))])
             for a in (0.5, 1.0, 2.0, 3.0)]
     return op, data
 
@@ -578,7 +578,7 @@ def test_batched_evolve_rejects_mixed_or_empty_batches():
     op, data = _block_operator("system")
     other_grid = build_grid(1, 4.0, 81, "neumann")
     on_other = grid_function_from_callable(other_grid, tanh_gauss)
-    scalar = grid_function_from_callable(op.grid, lambda x: np.tanh(x[0]), m=1)
+    scalar = grid_function_from_callable(op.grid, lambda x: np.tanh(x[..., 0]), m=1)
     for batch in ([], [data[0], on_other], [data[0], scalar]):
         with pytest.raises(ValueError):
             evolve(op, batch, t_final=0.1, dt=1e-2)
@@ -599,7 +599,7 @@ def test_nested_reuses_a_matching_run():
         (plain.discrepancies, plain.dirichlet_neumann_gap)
     # a run that differs in theta, in its datum or in its stored times is not
     # the rung's run
-    other = grid_function_from_callable(grid, lambda x: [np.tanh(x[0]), 0.0])
+    other = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0]), 0.0])
     for stranger in (evolve(op, f, 0.02, dt=1e-3, theta=1.0),
                      evolve(op, other, 0.02, dt=1e-3),
                      evolve(op, f, 0.02, dt=1e-3, store_every=5)):
