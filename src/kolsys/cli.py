@@ -13,21 +13,23 @@ import itertools
 import os
 import secrets
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from kolsys.config import (
     DATA_BUILDERS,
+    SUITES,
     ConfigError,
     data_callable,
     data_from_config,
-    field_from_config,
+    family_from_config,
     grid_from_config,
     ladder_from_config,
     parse_config,
     time_from_config,
 )
-from kolsys.coefficients import BuiltinFamily, derivative_bundle, make_builtin, rowdot
+from kolsys.coefficients import derivative_bundle, make_builtin, rowdot
 from kolsys.discretization import (
     GridFunction,
     assemble_scalar_operator,
@@ -65,8 +67,6 @@ from kolsys.properties import (
 )
 from kolsys.reports import CheckRecord, PropertyReport
 from kolsys.semigroup import SolveError, cesaro_average, discrete_average, evolve, solve_nested
-
-SUITES = ("core", "rates", "asymptotic", "counterexample")
 
 
 def fmt(x):
@@ -113,20 +113,20 @@ def _report_text(reports):
 
 
 def _sample_spec(cfg):
-    radius = cfg.get_float("grid", "L", 6.0)
+    radius = cfg.get("grid", "L")
     return SampleSpec(radius=radius, n_per_axis=81)
 
 
 def _out_path(args, cfg, fallback):
     """--out wins over the [output] section, which wins over the default name."""
-    return args.out or cfg.get_str("output", "out", fallback)
+    return args.out or cfg.get("output", "out") or fallback
 
 
 def cmd_check(args):
     cfg = parse_config(args.config)
-    field = field_from_config(cfg)
+    field = make_builtin(family_from_config(cfg))
     spec = _sample_spec(cfg)
-    sigma = cfg.get_float("verify", "phi_exponent", 1.0)
+    sigma = cfg.get("verify", "phi_exponent")
 
     report = check_hypotheses(field, spec)
     records = list(report.records)
@@ -197,14 +197,13 @@ def _trajectory_csv(traj):
 
 def cmd_simulate(args):
     cfg = parse_config(args.config)
-    field = field_from_config(cfg)
+    field = make_builtin(family_from_config(cfg))
     dt, t_final, theta, store_every = time_from_config(cfg)
     if args.nested:
         ladder = ladder_from_config(cfg)
-        nest_tol = cfg.get_float("nest", "nest_tol", 1e-4)
-        r_obs = cfg.get_float("nest", "R_obs", 3.0)
-        boundary = cfg.get_choice("grid", "boundary",
-                                  {"dirichlet", "neumann"}, "neumann")
+        nest_tol = cfg.get("nest", "nest_tol")
+        r_obs = cfg.get("nest", "R_obs")
+        boundary = cfg.get("grid", "boundary")
         result = solve_nested(field, data_callable(cfg, field.dim_m), t_final,
                               ladder, nest_tol, r_obs, dt=dt, theta=theta,
                               boundary_kind=boundary, store_every=store_every)
@@ -225,7 +224,7 @@ def cmd_simulate(args):
 
 def cmd_measure(args):
     cfg = parse_config(args.config)
-    field = field_from_config(cfg)
+    field = make_builtin(family_from_config(cfg))
     grid = grid_from_config(cfg)
     mu = solve_scalar_invariant_density(field, grid)
     coord_cols = ["x1"] if grid.d == 1 else ["x1", "x2"]
@@ -268,8 +267,8 @@ def _measure_pipeline(cfg, field, grid):
 def _suite_core(cfg, field):
     grid = grid_from_config(cfg, boundary_override="neumann")
     dt, t_final, theta, _ = time_from_config(cfg)
-    r_obs = cfg.get_float("verify", "R_obs", 3.0)
-    seed = cfg.get_int("run", "seed", 0)
+    r_obs = cfg.get("verify", "R_obs")
+    seed = cfg.get("run", "seed")
     xi, mu, sys = _measure_pipeline(cfg, field, grid)
     reports = []
 
@@ -283,8 +282,8 @@ def _suite_core(cfg, field):
         grid, lambda x: [np.sin(x[..., 0])] * field.dim_m, m=field.dim_m)
     reports.append(verify_fixed_points(
         field, grid, [(xi_gf, True), (eta_gf, False), (sine, False)], dt=dt,
-        theta=theta, fp_tol=cfg.get_float("verify", "fp_tol", 1e-8),
-        fp_gap=cfg.get_float("verify", "fp_gap", 0.1)))
+        theta=theta, fp_tol=cfg.get("verify", "fp_tol"),
+        fp_gap=cfg.get("verify", "fp_gap")))
 
     op = assemble_system_operator(field, grid)
     op_s = assemble_scalar_operator(field, grid)
@@ -296,17 +295,17 @@ def _suite_core(cfg, field):
     traj_pos = evolve(op, pos_datum, t_pos, dt=dt, theta=1.0,
                       store_times=[t_pos / 2, 1.0, t_pos])
     reports.append(verify_positivity(
-        traj_pos, pos_tol=cfg.get_float("verify", "pos_tol", None), r_obs=r_obs))
+        traj_pos, pos_tol=cfg.get("verify", "pos_tol"), r_obs=r_obs))
 
     f = data_from_config(cfg, grid, field.dim_m)
     absf2 = GridFunction(grid, np.sum(f.values ** 2, axis=0))
-    dom_tol = cfg.get_float("verify", "dom_tol", 1e-6)
+    dom_tol = cfg.get("verify", "dom_tol")
     traj_v1 = evolve(op, f, t_final, dt=dt, theta=1.0)
     traj_s1 = evolve(op_s, absf2, t_final, dt=dt, theta=1.0)
     reports.append(verify_semigroup_bounds(traj_v1, traj_s1, p=2.0,
                                            dom_tol=dom_tol, sup_tol=dom_tol))
 
-    inv_tol = cfg.get_float("verify", "inv_tol", 1e-2)
+    inv_tol = cfg.get("verify", "inv_tol")
     check_times = sorted({min(0.1, t_final), min(1.0, t_final), t_final})
     traj_v = evolve(op, f, t_final, dt=dt, theta=theta, store_times=check_times)
     reports.append(verify_invariance(traj_v, sys, inv_tol=inv_tol))
@@ -324,7 +323,7 @@ def _suite_core(cfg, field):
         name="scalar_invariance", status="pass" if worst <= scal_tol else "fail",
         measured=worst, bound=0.0, tolerance=scal_tol))
 
-    lp_tol = cfg.get_float("verify", "lp_tol", 1e-6)
+    lp_tol = cfg.get("verify", "lp_tol")
     for p in (1.0, 2.0, 4.0):
         reports.append(verify_lp_bound(traj_v, sys, p, lp_tol=lp_tol))
     return reports
@@ -333,8 +332,8 @@ def _suite_core(cfg, field):
 def _suite_rates(cfg, field):
     grid = grid_from_config(cfg, boundary_override="neumann")
     dt, _, theta, _ = time_from_config(cfg)
-    r_obs = cfg.get_float("verify", "R_obs", 3.0)
-    slope_margin = cfg.get_float("verify", "slope_margin", 0.25)
+    r_obs = cfg.get("verify", "R_obs")
+    slope_margin = cfg.get("verify", "slope_margin")
     eps = 2.0 * grid.h
 
     def radial(x):
@@ -360,8 +359,8 @@ def _suite_rates(cfg, field):
 def _suite_asymptotic(cfg, field):
     grid = grid_from_config(cfg, boundary_override="neumann")
     dt, t_final, theta, store_every = time_from_config(cfg)
-    r_obs = cfg.get_float("verify", "R_obs", 3.0)
-    longtime_tol = cfg.get_float("verify", "longtime_tol", 1e-2)
+    r_obs = cfg.get("verify", "R_obs")
+    longtime_tol = cfg.get("verify", "longtime_tol")
     xi, mu, sys = _measure_pipeline(cfg, field, grid)
     op = assemble_system_operator(field, grid)
     reports = []
@@ -404,10 +403,9 @@ def _suite_asymptotic(cfg, field):
 
     if cfg.has_section("nest"):
         ladder = ladder_from_config(cfg)
-        nest_tol = cfg.get_float("nest", "nest_tol", 1e-4)
-        nest_r = cfg.get_float("nest", "R_obs", r_obs)
+        nest_tol = cfg.get("nest", "nest_tol")
         result = solve_nested(field, data_callable(cfg, field.dim_m), t_final,
-                              ladder, nest_tol, nest_r, dt=dt, theta=theta,
+                              ladder, nest_tol, cfg.get("nest", "R_obs"), dt=dt, theta=theta,
                               store_every=store_every, runs=runs_f)
         # a ladder whose rungs all agree to tolerance is converged outright;
         # ordering only matters while the discrepancies are above nest_tol
@@ -430,15 +428,11 @@ def _suite_counterexample(cfg, field):
     dt, t_final, theta, _ = time_from_config(cfg)
     mu = solve_scalar_invariant_density(field, grid)
     m = field.dim_m
-    gamma = cfg.get_float("problem", "gamma", 0.0)
-    beta = cfg.get_float("problem", "beta", 1.0)
-    b0 = cfg.get_float("problem", "b0", 1.0)
+    family = family_from_config(cfg)
     reports = []
     f = _constant_function(grid, np.full(m, 1.0 / np.sqrt(m)))
     for C0 in (np.eye(m), -np.eye(m)):
-        cfield = make_builtin(BuiltinFamily(
-            dim_d=field.dim_d, dim_m=m, gamma=gamma, beta=beta, b0=b0,
-            Q0=np.eye(field.dim_d), coupling_kind="constant_matrix", C0=C0))
+        cfield = make_builtin(replace(family, coupling_kind="constant_matrix", C0=C0))
         reports.append(counterexample_mode(cfield, f, t_final=min(t_final, 5.0),
                                            dt=dt, theta=theta, mu_hat=mu))
     g = np.zeros(m)
@@ -450,8 +444,8 @@ def _suite_counterexample(cfg, field):
 
 def cmd_verify(args):
     cfg = parse_config(args.config)
-    field = field_from_config(cfg)
-    suite = args.suite or cfg.get_choice("verify", "suite", set(SUITES), "core")
+    field = make_builtin(family_from_config(cfg))
+    suite = args.suite or cfg.get("verify", "suite")
     runner = {"core": _suite_core, "rates": _suite_rates,
               "asymptotic": _suite_asymptotic,
               "counterexample": _suite_counterexample}[suite]
@@ -460,28 +454,22 @@ def cmd_verify(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _sweep_row(cfg, gamma, beta, b0, ps):
+def _sweep_row(cfg, family, ps):
     """The summary rows of one drift family, one per L^p exponent in `ps`.
 
     Only the L^p bound depends on p: the hypotheses, the measure system and
     the trajectory are computed once for the family.
     """
-    field = make_builtin(BuiltinFamily(
-        dim_d=cfg.get_int("problem", "d", 1),
-        dim_m=cfg.get_int("problem", "m", 2),
-        gamma=gamma, beta=beta if beta > 0 else 0.0, b0=b0,
-        Q0=np.eye(cfg.get_int("problem", "d", 1)),
-        coupling_kind=cfg.get_choice("problem", "coupling_kind",
-                                     {"exchange2", "zeta3"}, "exchange2")))
+    field = make_builtin(family)
     grid = grid_from_config(cfg, boundary_override="neumann")
     dt, t_final, theta, store_every = time_from_config(cfg)
     spec = _sample_spec(cfg)
-    sigma = cfg.get_float("verify", "phi_exponent", 1.0)
-    r_obs = cfg.get_float("verify", "R_obs", 3.0)
+    sigma = cfg.get("verify", "phi_exponent")
+    r_obs = cfg.get("verify", "R_obs")
 
     lyap = check_lyapunov(field, sigma, spec)
     growth = check_growth(field, sigma, spec)
-    rows = [{"gamma": gamma, "beta": beta, "b0": b0, "p": p,
+    rows = [{"gamma": family.gamma, "beta": family.beta, "b0": family.b0, "p": p,
              "lyapunov": lyap.status, "growth": growth.status} for p in ps]
     if not lyap.passed:
         for row in rows:
@@ -525,19 +513,21 @@ SWEEP_COLUMNS = ("gamma", "beta", "b0", "p", "lyapunov", "growth",
 def cmd_sweep(args):
     cfg = parse_config(args.config)
     cfg.require_section("sweep")
-    gammas = cfg.get_floats("sweep", "gamma", [cfg.get_float("problem", "gamma", 0.0)])
-    betas = cfg.get_floats("sweep", "beta", [cfg.get_float("problem", "beta", 1.0)])
-    b0s = cfg.get_floats("sweep", "b0", [cfg.get_float("problem", "b0", 1.0)])
-    ps = cfg.get_floats("sweep", "p", [2.0])
-    cap = cfg.get_int("sweep", "cap", 64)
-    combos = sorted(itertools.product(gammas, betas, b0s, ps))
+    family = family_from_config(cfg)
+    varied = ("gamma", "beta", "b0")
+    # each sweep list defaults to the [problem] family's own value
+    lists = [[getattr(family, key)] if cfg.get("sweep", key) is None
+             else cfg.get("sweep", key) for key in varied]
+    cap = cfg.get("sweep", "cap")
+    combos = sorted(itertools.product(*lists, cfg.get("sweep", "p")))
     if len(combos) > cap:
         raise ConfigError(f"sweep of {len(combos)} runs exceeds the cap {cap}")
 
     # rows that differ only in p share one _sweep_row call
     families = [(key, [c[3] for c in group])
                 for key, group in itertools.groupby(combos, key=lambda c: c[:3])]
-    rows = [row for key, p_values in families for row in _sweep_row(cfg, *key, p_values)]
+    rows = [row for key, p_values in families
+            for row in _sweep_row(cfg, replace(family, **dict(zip(varied, key))), p_values)]
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:

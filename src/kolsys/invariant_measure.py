@@ -67,10 +67,16 @@ class MeasureSystem:
 
     def lp_norm(self, f: GridFunction, p):
         """Discrete norm (sum_j int |f_j|^p dmu_j)^(1/p)."""
+        _check_same_nodes(f, self.mu)
         total = 0.0
         for j in range(f.m):
             total += self.component_integrate(j, np.abs(f.values[j]) ** p)
         return float(total ** (1.0 / p))
+
+
+def _check_same_nodes(f: GridFunction, mu: MeasureDensity):
+    if f.grid is not mu.grid and not np.array_equal(f.grid.nodes, mu.grid.nodes):
+        raise ValueError("grid mismatch between function and measure")
 
 
 def _normalize(grid, rho, clip_tol):
@@ -199,8 +205,7 @@ def build_measure_system(xi: KernelVector, mu: MeasureDensity, c=1.0) -> Measure
 
 def functional_Mf(f: GridFunction, sys: MeasureSystem) -> float:
     """sum_k int f_k dmu_k, the long-time mass functional."""
-    if f.grid is not sys.mu.grid and f.grid.n_nodes != sys.mu.grid.n_nodes:
-        raise ValueError("grid mismatch between function and measure")
+    _check_same_nodes(f, sys.mu)
     total = 0.0
     for k in range(f.m):
         total += sys.component_integrate(k, f.values[k])

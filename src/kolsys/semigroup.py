@@ -212,6 +212,8 @@ def step(op: DiscreteOperator, u, dt, theta=0.5):
 
 
 def _store_steps(n_steps, dt, store_every, store_times):
+    if store_every is not None and store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     marks = {0, n_steps}
     if store_times is not None:
         for t in store_times:
@@ -320,26 +322,18 @@ def discrete_average(op: DiscreteOperator, f: GridFunction, n, dt=1e-3, theta=0.
     return GridFunction(traj.grid, acc / n)
 
 
-def _coord_index_map(grid, r_obs):
-    """Map integer coordinates (units of h) of window nodes to node indices."""
-    mask = grid.window_mask(r_obs)
-    idx = np.flatnonzero(mask)
-    keys = np.round(grid.nodes[idx] / grid.h).astype(int)
-    exact = np.all(np.abs(keys * grid.h - grid.nodes[idx]) <= 1e-9 * max(grid.h, 1.0), axis=1)
-    if not np.all(exact):
-        raise ValueError("grid nodes are not aligned to multiples of h")
-    return {tuple(key): i for key, i in zip(keys, idx)}
-
-
 def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
-    """Sup over common window nodes, stored times and components of |a - b|."""
-    map_a = _coord_index_map(traj_a.grid, r_obs)
-    map_b = _coord_index_map(traj_b.grid, r_obs)
-    common = sorted(set(map_a) & set(map_b))
-    if not common:
-        raise ValueError("observation windows share no grid nodes")
-    ia = np.array([map_a[c] for c in common])
-    ib = np.array([map_b[c] for c in common])
+    """Sup over window nodes, stored times and components of |a - b|.
+
+    The grids share h and both boxes reach beyond r_obs, so the two windows
+    hold the same nodes in the same lexicographic order.
+    """
+    ga, gb = traj_a.grid, traj_b.grid
+    ia = np.flatnonzero(ga.window_mask(r_obs))
+    ib = np.flatnonzero(gb.window_mask(r_obs))
+    if ia.size == 0 or ia.size != ib.size or \
+            np.max(np.abs(ga.nodes[ia] - gb.nodes[ib])) > 1e-9 * ga.h:
+        raise ValueError("observation windows do not hold the same grid nodes")
     if len(traj_a.times) != len(traj_b.times) or \
             np.max(np.abs(traj_a.times - traj_b.times)) > 1e-9:
         raise ValueError("trajectories store different times")

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from kolsys.cli import atomic_write, run
-from kolsys.config import ConfigError, parse_config
+from kolsys.config import SCHEMA, ConfigError, parse_config, time_from_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 FAST_CFG = """\
 [problem]
@@ -46,9 +49,76 @@ def fast_cfg(tmp_path):
 
 def test_parse_config_types(fast_cfg):
     cfg = parse_config(fast_cfg)
-    assert cfg.get_int("problem", "m") == 2
-    assert cfg.get_float("time", "dt") == pytest.approx(2e-3)
-    assert cfg.get_str("grid", "boundary") == "neumann"
+    assert cfg.get("problem", "m") == 2 and isinstance(cfg.get("problem", "m"), int)
+    assert cfg.get("time", "dt") == pytest.approx(2e-3)
+    assert cfg.get("grid", "boundary") == "neumann"
+    assert cfg.get("verify", "dom_tol") == SCHEMA["verify"]["dom_tol"][1]   # omitted
+    assert cfg.line("grid", "L") == 11 and cfg.line("verify", "dom_tol") is None
+
+
+def test_list_and_ladder_kinds(tmp_path):
+    path = tmp_path / "lists.cfg"
+    path.write_text("[nest]\nladder = 4:161, 6:241\n\n[data]\nf = tanh , gauss\n"
+                    "\n[sweep]\nbeta = 1, 2.5\n")
+    cfg = parse_config(path)
+    assert cfg.get("nest", "ladder") == [(4.0, 161), (6.0, 241)]
+    assert cfg.get("data", "f") == ["tanh", "gauss"]
+    assert cfg.get("sweep", "beta") == [1.0, 2.5]
+
+
+@pytest.mark.parametrize("section,line", [
+    ("[grid]\nL = 6.0\nn_per_axis = 8.5\n", 3),
+    ("[grid]\nL = six\n", 2),
+    ("[grid]\nboundary = periodic\n", 2),
+    ("[problem]\nfamily = cubic\n", 2),
+    ("[nest]\nladder = 4:161, 6-241\n", 2),
+    ("[sweep]\nbeta = 1, two\n", 2),
+])
+def test_bad_value_rejected_with_line(tmp_path, section, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(section)
+    with pytest.raises(ConfigError, match=f"line {line}: "):
+        parse_config(path)
+
+
+def test_verify_nest_tol_rejected_with_line(fast_cfg, tmp_path, capsys):
+    # [nest] nest_tol sets the nested tolerance; [verify] never read one
+    path = tmp_path / "nest_tol.cfg"
+    path.write_text(fast_cfg.read_text().replace("[verify]\n", "[verify]\nnest_tol = 1e-4\n"))
+    code = run(["check", "--config", str(path), "--out", str(tmp_path / "r.txt")])
+    assert code == 2
+    assert "line 21: unknown key 'nest_tol' in section [verify]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_store_every_below_one_rejected_with_line(fast_cfg, tmp_path, value):
+    path = tmp_path / "store.cfg"
+    path.write_text(fast_cfg.read_text().replace("theta = 0.5\n",
+                                                  f"theta = 0.5\nstore_every = {value}\n"))
+    with pytest.raises(ConfigError, match="line 19: time.store_every must be at least 1"):
+        time_from_config(parse_config(path))
+
+
+def test_readme_config_reference_lists_the_schema():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Config reference", 1)[1].split("```")[1]
+    listed = {}
+    for line in block.splitlines():
+        head = re.match(r"\[(\w+)\]", line)
+        entry = re.match(r"\s+(\w+) = (\S.*?)(?:\s{2,}|$)", line)
+        if head:
+            section = listed.setdefault(head.group(1), {})
+        elif entry:
+            section[entry.group(1)] = entry.group(2)
+    assert {name: set(keys) for name, keys in listed.items()} == \
+        {name: set(keys) for name, keys in SCHEMA.items()}
+    for name, keys in listed.items():
+        for key, text in keys.items():
+            (_, convert), default = SCHEMA[name][key]
+            # a parenthesized default is worked out by the command that reads the key
+            shown = None if text.startswith("(") else convert(text)
+            assert shown == (list(default) if isinstance(default, tuple) else default), key
 
 
 def test_unknown_key_rejected_with_line(tmp_path):
@@ -258,6 +328,31 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_ou_family_equals_written_out_drift(tmp_path):
+    # family = ou means gamma = beta = 0; the sweep's family is the
+    # [problem] field, so both configs run the same single family
+    sweep = "\n[sweep]\np = 2, 4\n"
+    base = FAST_CFG.replace("n_per_axis = 161", "n_per_axis = 241")
+    ou = tmp_path / "ou.cfg"
+    ou.write_text(base.replace("family = polynomial", "family = ou") + sweep)
+    written = tmp_path / "written.cfg"
+    written.write_text(base.replace("gamma = 0.0\nbeta = 1.0", "gamma = 0.0\nbeta = 0.0")
+                       + sweep)
+    out_ou, out_written = tmp_path / "ou.csv", tmp_path / "written.csv"
+    assert run(["sweep", "--config", str(ou), "--out", str(out_ou)]) == 0
+    assert run(["sweep", "--config", str(written), "--out", str(out_written)]) == 0
+    assert out_ou.read_bytes() == out_written.read_bytes()
+    assert out_ou.read_text().splitlines()[1].startswith("0.0,0.0,1.0,2.0,")
+
+
+def test_sweep_negative_beta_exits_2(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(FAST_CFG + "\n[sweep]\nbeta = -1, 1\n")
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_cap_exceeded(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(FAST_CFG + "\n[sweep]\nbeta = 1, 2\np = 2, 4\ncap = 3\n")
@@ -296,7 +391,7 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask):
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     # each costs every command its import time and memory; the package uses neither
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(ROOT, "src")
     code = ("import kolsys.cli, sys; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},

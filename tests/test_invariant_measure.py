@@ -162,6 +162,23 @@ def test_functional_mf_examples():
     assert abs(functional_Mf(f_odd, sys)) <= 1e-10
 
 
+def test_mf_and_lp_norm_reject_other_nodes():
+    # same node count, other box: the nodes differ, so the quadrature would
+    # pair values with the wrong points
+    field = field_1d()
+    xi = compute_common_kernel(field, SPEC)
+    sys = build_measure_system(xi, solve_scalar_invariant_density(field, build_grid(1, 6.0, 61)))
+    f = grid_function_from_callable(build_grid(1, 4.0, 61), lambda x: [1.0, 1.0])
+    with pytest.raises(ValueError, match="grid mismatch"):
+        functional_Mf(f, sys)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        sys.lp_norm(f, 2.0)
+    # a copy of the measure's grid holds the same nodes and is accepted
+    same = grid_function_from_callable(build_grid(1, 6.0, 61, "dirichlet"), lambda x: [1.0, 1.0])
+    assert functional_Mf(same, sys) == pytest.approx(float(np.sum(xi.xi)), rel=1e-12)
+    assert sys.lp_norm(same, 2.0) == pytest.approx(np.sqrt(np.sum(xi.xi)), rel=1e-12)
+
+
 def test_scale_doubling_doubles_mf():
     grid = build_grid(1, 6.0, 161)
     field = field_1d()

@@ -11,8 +11,10 @@ from kolsys.discretization import (
 )
 from kolsys.hypotheses import SampleSpec, compute_common_kernel
 from kolsys.invariant_measure import (
+    MeasureDensity,
     build_measure_system,
     bump_function,
+    check_infinitesimal_invariance,
     solve_scalar_invariant_density,
 )
 from kolsys.properties import (
@@ -315,6 +317,36 @@ def test_negative_off_diagonal_coupling_fails_positivity(setup):
     rep = verify_positivity(traj)
     assert rep.status == "fail"
     assert rep.measured < -1e-3
+
+
+def test_inflated_mu0_fails_l2_gradient_integral_bound(setup):
+    # the time integral of h is bounded by |f|^2 / mu0; with mu0 taken 100x
+    # above the ellipticity constant (1 here) that bound no longer holds.
+    # The honest bound sits about 11x above the integral on this datum.
+    _, grid, op, _, _, mu, _ = setup
+    f = grid_function_from_callable(
+        grid, lambda x: [bump_function([0.0], 2.0)(x), bump_function([0.5], 1.5)(x)])
+    traj = evolve(op, f, 5.0, dt=2e-3, store_every=25)
+    assert verify_l2_gradient_decay(traj, mu, mu0=1.0).passed
+    rep = verify_l2_gradient_decay(traj, mu, mu0=100.0)
+    assert rep.status == "fail"
+    assert rep.details["integral"] > rep.details["integral_bound"]
+    assert rep.measured <= rep.bound            # the decay itself still holds
+
+
+def test_uniform_density_fails_infinitesimal_invariance(setup):
+    # constants span the kernel of the generator itself (A 1 = 0), not of its
+    # adjoint: under a nonzero drift the uniform law is not invariant
+    field, grid, _, _, _, mu, _ = setup
+    w = grid.quadrature_weights()
+    uniform = MeasureDensity(grid=grid, rho=np.full(grid.n_nodes, 1.0 / np.sum(w)),
+                             weights=w, norm_residual=0.0)
+    bumps = [bump_function([0.0], 2.0), bump_function([1.0], 1.5),
+             bump_function([-2.0], 1.0)]
+    assert check_infinitesimal_invariance(field, mu, bumps, inv_tol=1e-4).passed
+    rep = check_infinitesimal_invariance(field, uniform, bumps, inv_tol=1e-4)
+    assert rep.status == "fail"
+    assert rep.measured > 1e-2
 
 
 def test_counterexample_requires_constant_coupling(setup):

@@ -20,6 +20,7 @@ from kolsys.semigroup import (
     SolveError,
     ThetaStepper,
     Trajectory,
+    _window_discrepancy,
     cesaro_average,
     discrete_average,
     evolve,
@@ -200,6 +201,15 @@ def test_evolve_initial_snapshot_exact():
     f = grid_function_from_callable(grid, tanh_gauss)
     traj = evolve(op, f, t_final=0.05, dt=1e-2)
     assert np.array_equal(traj.snapshots[0].values, f.values)
+
+
+@pytest.mark.parametrize("store_every", [0, -5])
+def test_evolve_rejects_store_every_below_one(store_every):
+    grid = build_grid(1, 2.0, 21, "neumann")
+    op = assemble_system_operator(exchange2_field(), grid)
+    f = grid_function_from_callable(grid, tanh_gauss)
+    with pytest.raises(ValueError, match="store_every must be at least 1"):
+        evolve(op, f, t_final=0.05, dt=1e-2, store_every=store_every)
 
 
 def test_markov_property_scalar_neumann():
@@ -401,6 +411,28 @@ def test_2d_steps_take_one_direct_factor_in_mmd_order(monkeypatch):
     perm_c = stepper._lu.perm_c
     assert np.array_equal(perm_c, real_splu(stepper.M, permc_spec="MMD_AT_PLUS_A").perm_c)
     assert not np.array_equal(perm_c, real_splu(stepper.M).perm_c)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_window_discrepancy_pairs_nodes_by_coordinate(d):
+    # reference: pair the window nodes of two boxes by their coordinates in
+    # units of h, one node at a time
+    rng = np.random.default_rng(d)
+    trajs = []
+    for L, n in ((2.0, 21), (3.0, 31)):
+        grid = build_grid(d, L, n, "neumann")
+        snaps = [GridFunction(grid, rng.standard_normal((2, grid.n_nodes))) for _ in range(3)]
+        trajs.append(Trajectory(times=np.array([0.0, 0.1, 0.2]), snapshots=snaps, grid=grid,
+                                dt=0.1, theta=0.5, boundary_kind="neumann"))
+    r_obs = 1.5
+    index = [{tuple(np.round(x / t.grid.h).astype(int)): i for i, x in enumerate(t.grid.nodes)
+              if np.all(np.abs(x) <= r_obs + 1e-9)} for t in trajs]
+    assert set(index[0]) == set(index[1])
+    reference = max(abs(sa.values[c, index[0][key]] - sb.values[c, index[1][key]])
+                    for sa, sb in zip(trajs[0].snapshots, trajs[1].snapshots)
+                    for key in index[0] for c in range(2))
+    assert _window_discrepancy(trajs[0], trajs[1], r_obs) == reference
+    assert _window_discrepancy(trajs[1], trajs[0], r_obs) == reference
 
 
 def test_nested_rejects_bad_ladder():
