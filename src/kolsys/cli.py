@@ -48,7 +48,6 @@ from kolsys.hypotheses import (
 from kolsys.invariant_measure import (
     build_measure_system,
     bump_function,
-    functional_Mf,
     oracle_density_1d,
     solve_scalar_invariant_density,
 )
@@ -189,9 +188,9 @@ def _trajectory_csv(traj):
     header = ["t", "node_index"] + coord_cols + [f"u_{k + 1}" for k in range(m)]
     blocks = [",".join(header)]
     nodes = _node_cells(grid)
-    for t, snap in zip(traj.times, traj.snapshots):
+    for t, values in zip(traj.times, traj.values):
         t_cell = fmt(t)
-        blocks.append(_rows((f"{t_cell},{cells}" for cells in nodes), snap.values.T))
+        blocks.append(_rows((f"{t_cell},{cells}" for cells in nodes), values.T))
     return "\n".join(blocks) + "\n"
 
 
@@ -314,11 +313,10 @@ def _suite_core(cfg, field):
     worst = 0.0
     scalars = [grid_function_from_callable(grid, DATA_BUILDERS[name], m=1)
                for name in ("tanh", "gauss")]
-    for g, traj_g in zip(scalars, evolve(op_s, scalars, t_final, dt=dt, theta=theta,
-                                         store_times=check_times)):
-        base = mu.integrate(g.values[0])
-        drift = max(abs(mu.integrate(s.values[0]) - base) for s in traj_g.snapshots)
-        worst = max(worst, drift / max(np.max(np.abs(g.values)), 1e-300))
+    for traj_g in evolve(op_s, scalars, t_final, dt=dt, theta=theta, store_times=check_times):
+        masses = mu.integrate(traj_g.values[:, 0])
+        drift = np.max(np.abs(masses - masses[0]))
+        worst = max(worst, drift / max(np.max(np.abs(traj_g.values[0])), 1e-300))
     reports.append(PropertyReport(
         name="scalar_invariance", status="pass" if worst <= scal_tol else "fail",
         measured=worst, bound=0.0, tolerance=scal_tol))
@@ -477,20 +475,13 @@ def _sweep_row(cfg, family, ps):
                         "decay_rate": "", "m_f": ""})
         return rows
 
-    xi, mu, sys = _measure_pipeline(cfg, field, grid)
+    *_, sys = _measure_pipeline(cfg, field, grid)
     op = assemble_system_operator(field, grid)
     f = data_from_config(cfg, grid, field.dim_m)
     traj = evolve(op, f, t_final, dt=dt, theta=theta, store_every=store_every)
-    inv = verify_invariance(traj, sys)
-    m_f = functional_Mf(f, sys)
-
-    errs = []
-    window = grid.window_mask(r_obs)
-    target = m_f * xi.xi[:, None]
-    for snap in traj.snapshots:
-        diff = snap.values - target
-        errs.append(float(np.max(np.sqrt(np.sum(diff ** 2, axis=0))[window])))
-    errs = np.array(errs)
+    inv = verify_invariance(traj, sys, inv_tol=cfg.get("verify", "inv_tol"))
+    longtime = verify_longtime(traj, sys, r_obs=r_obs).details
+    errs, m_f = longtime["errors"], longtime["m_f"]
     usable = errs > 1e-12
     if np.sum(usable) >= 2:
         slope, _ = np.polyfit(traj.times[usable], np.log(errs[usable]), 1)
@@ -500,7 +491,8 @@ def _sweep_row(cfg, family, ps):
 
     for row in rows:
         row.update({"invariance": inv.status,
-                    "lp_bound": verify_lp_bound(traj, sys, row["p"]).status,
+                    "lp_bound": verify_lp_bound(traj, sys, row["p"],
+                                                lp_tol=cfg.get("verify", "lp_tol")).status,
                     "longtime_err": fmt(errs[-1]), "decay_rate": fmt(decay),
                     "m_f": fmt(m_f)})
     return rows

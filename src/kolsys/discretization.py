@@ -261,14 +261,14 @@ def assemble_adjoint_operator(field, grid) -> DiscreteOperator:
 def fd_gradient(values, grid):
     """Central-difference gradient of nodal values, one-sided at the box edge.
 
-    Returns an array of shape (d, N).
+    `values` holds the nodes on its last axis, shape (..., N); the gradient
+    has shape (d, ..., N).
     """
     if grid.d == 1:
-        g = np.gradient(values, grid.h)
-        return g[None, :]
-    f = values.reshape(grid.shape)
-    g1, g2 = np.gradient(f, grid.h, grid.h)
-    return np.stack([g1.ravel(), g2.ravel()])
+        return np.gradient(values, grid.h, axis=-1)[None]
+    f = values.reshape(values.shape[:-1] + grid.shape)
+    return np.stack([g.reshape(values.shape)
+                     for g in np.gradient(f, grid.h, grid.h, axis=(-2, -1))])
 
 
 def fd_hessian_diag(values, grid):

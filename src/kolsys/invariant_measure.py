@@ -17,7 +17,6 @@ import scipy.sparse.linalg as spla
 from kolsys.coefficients import CoefficientField, libm_pow
 from kolsys.discretization import (
     Grid,
-    GridFunction,
     assemble_adjoint_operator,
     assemble_scalar_operator,
     build_grid,
@@ -44,8 +43,9 @@ class MeasureDensity:
     clip_mass: float = 0.0
 
     def integrate(self, values):
-        """Quadrature of `values` against the density."""
-        return float(np.sum(self.weights * self.rho * values))
+        """Quadrature of `values` against the density over the last (node)
+        axis: a float for one nodal vector, else an array of the leading shape."""
+        return _float_or_array(np.sum(self.weights * self.rho * values, axis=-1))
 
     def mass(self):
         return float(np.sum(self.weights * self.rho))
@@ -62,21 +62,30 @@ class MeasureSystem:
     def masses(self):
         return self.scale * self.xi.xi * self.mu.mass()
 
-    def component_integrate(self, j, values):
-        return self.scale * float(self.xi.xi[j]) * self.mu.integrate(values)
+    def _total(self, values):
+        """sum_j int values_j dmu_j over the last two axes (m, N)."""
+        return np.sum(self.scale * self.xi.xi * self.mu.integrate(values), axis=-1)
 
-    def lp_norm(self, f: GridFunction, p):
-        """Discrete norm (sum_j int |f_j|^p dmu_j)^(1/p)."""
+    def lp_norm(self, f, p):
+        """Discrete norm (sum_j int |f_j|^p dmu_j)^(1/p) of a GridFunction, or
+        of each stored state of a Trajectory as an array over its times."""
         _check_same_nodes(f, self.mu)
-        total = 0.0
-        for j in range(f.m):
-            total += self.component_integrate(j, np.abs(f.values[j]) ** p)
-        return float(total ** (1.0 / p))
+        totals = self._total(np.abs(f.values) ** p)
+        # the root value by value, as of one float: numpy's vectorized pow
+        # rounds some values differently
+        roots = np.array([t ** (1.0 / p) for t in np.ravel(totals)])
+        return _float_or_array(roots.reshape(np.shape(totals)))
 
 
-def _check_same_nodes(f: GridFunction, mu: MeasureDensity):
+def _check_same_nodes(f, mu: MeasureDensity):
+    """`f`, a GridFunction or a Trajectory, must lie on the density's nodes."""
     if f.grid is not mu.grid and not np.array_equal(f.grid.nodes, mu.grid.nodes):
         raise ValueError("grid mismatch between function and measure")
+
+
+def _float_or_array(total):
+    """A float for a reduction to one value, else the array."""
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _normalize(grid, rho, clip_tol):
@@ -203,13 +212,11 @@ def build_measure_system(xi: KernelVector, mu: MeasureDensity, c=1.0) -> Measure
     return MeasureSystem(xi=xi, mu=mu, scale=float(c))
 
 
-def functional_Mf(f: GridFunction, sys: MeasureSystem) -> float:
-    """sum_k int f_k dmu_k, the long-time mass functional."""
+def functional_Mf(f, sys: MeasureSystem):
+    """sum_k int f_k dmu_k, the long-time mass functional, of a GridFunction
+    (a float) or of each stored state of a Trajectory (an array over its times)."""
     _check_same_nodes(f, sys.mu)
-    total = 0.0
-    for k in range(f.m):
-        total += sys.component_integrate(k, f.values[k])
-    return float(total)
+    return _float_or_array(sys._total(f.values))
 
 
 def l1_distance(a: MeasureDensity, b: MeasureDensity) -> float:

@@ -22,6 +22,7 @@ from kolsys.discretization import (
 from kolsys.invariant_measure import (
     MeasureDensity,
     MeasureSystem,
+    _check_same_nodes,
     functional_Mf,
     solve_scalar_invariant_density,
 )
@@ -38,7 +39,13 @@ SLOPE_MARGIN = 0.25
 
 
 def _vector_magnitude(values):
-    return np.sqrt(np.sum(values ** 2, axis=0))
+    """|u| nodewise, over the component axis of (..., m, N) values."""
+    return np.sqrt(np.sum(values ** 2, axis=-2))
+
+
+def _sup_norms(values):
+    """Vector sup norm sqrt(sum_k sup_x |u_k|^2) of (..., m, N) values."""
+    return np.sqrt(np.sum(np.max(np.abs(values), axis=-1) ** 2, axis=-1))
 
 
 def _check_same_times(a: Trajectory, b: Trajectory):
@@ -56,20 +63,13 @@ def verify_semigroup_bounds(traj_vec: Trajectory, traj_scalar_abs_p: Trajectory,
     if p <= 1:
         raise ValueError("p must exceed 1")
     _check_same_times(traj_vec, traj_scalar_abs_p)
-    f_sup = traj_vec.snapshots[0].sup_norm_vector()
-    worst_dom = -np.inf
-    worst_sup = -np.inf
-    witness = None
-    for t, snap, scal in zip(traj_vec.times, traj_vec.snapshots,
-                             traj_scalar_abs_p.snapshots):
-        mag = _vector_magnitude(snap.values)
-        dom_violation = np.max(mag ** p - scal.values[0])
-        sup_violation = np.max(mag) - f_sup
-        if dom_violation > worst_dom:
-            worst_dom = float(dom_violation)
-            node = int(np.argmax(mag ** p - scal.values[0]))
-            witness = Witness(tuple(snap.grid.nodes[node]), worst_dom, t=float(t))
-        worst_sup = max(worst_sup, float(sup_violation))
+    mag = _vector_magnitude(traj_vec.values)
+    dom = mag ** p - traj_scalar_abs_p.values[:, 0]
+    i = int(np.argmax(np.max(dom, axis=1)))     # the first time of the worst violation
+    worst_dom = float(np.max(dom[i]))
+    worst_sup = float(np.max(mag) - _sup_norms(traj_vec.values[0]))
+    witness = Witness(tuple(traj_vec.grid.nodes[np.argmax(dom[i])]), worst_dom,
+                      t=float(traj_vec.times[i]))
     ok = worst_dom <= dom_tol and worst_sup <= sup_tol
     return PropertyReport(name="domination_contraction",
                           status="pass" if ok else "fail",
@@ -88,23 +88,20 @@ def verify_positivity(traj_vec: Trajectory, pos_tol=None, pos_floor=1e-6,
     coupling every component of a nontrivial datum is checked against the
     floor on the window; pass `floor_components` to restrict that check.
     """
-    f = traj_vec.snapshots[0]
-    if np.min(f.values) < -1e-12:
+    v = traj_vec.values
+    if np.min(v[0]) < -1e-12:
         raise ValueError("initial datum must be componentwise nonnegative")
     if pos_tol is None:
         pos_tol = POS_TOL_IMPLICIT if traj_vec.theta == 1.0 else POS_TOL_CRANK
-    worst = np.inf
-    witness = None
-    for t, snap in zip(traj_vec.times, traj_vec.snapshots):
-        mn = float(np.min(snap.values))
-        if mn < worst:
-            worst = mn
-            _, node = np.unravel_index(np.argmin(snap.values), snap.values.shape)
-            witness = Witness(tuple(snap.grid.nodes[node]), mn, t=float(t))
+    # the first time of the minimum, and its first component and node there
+    k = np.argmin(v)
+    i, _, node = np.unravel_index(k, v.shape)
+    worst = float(v.flat[k])
+    witness = Witness(tuple(traj_vec.grid.nodes[node]), worst, t=float(traj_vec.times[i]))
     ok = worst >= -pos_tol
 
     floor_min = None
-    if np.max(f.values) > 0:
+    if np.max(v[0]) > 0:
         snap = traj_vec.snapshot_at(floor_time)
         window = snap.grid.window_mask(r_obs)
         comps = range(snap.m) if floor_components is None else floor_components
@@ -120,17 +117,13 @@ def verify_positivity(traj_vec: Trajectory, pos_tol=None, pos_floor=1e-6,
 def verify_invariance(traj_vec: Trajectory, sys: MeasureSystem,
                       inv_tol=INV_TOL) -> PropertyReport:
     """Relative drift of sum_j int (T(t)f)_j dmu_j over the stored times."""
-    f = traj_vec.snapshots[0]
-    baseline = functional_Mf(f, sys)
-    denom = max(abs(baseline), sys.scale * f.sup_norm_vector())
-    worst = 0.0
-    witness = None
-    for t, snap in zip(traj_vec.times, traj_vec.snapshots):
-        total = functional_Mf(snap, sys)
-        rel = abs(total - baseline) / denom
-        if rel >= worst:
-            worst = float(rel)
-            witness = Witness((0.0,) * snap.grid.d, total, t=float(t))
+    totals = functional_Mf(traj_vec, sys)
+    baseline = float(totals[0])
+    denom = max(abs(baseline), sys.scale * _sup_norms(traj_vec.values[0]))
+    rel = np.abs(totals - baseline) / denom
+    i = len(rel) - 1 - int(np.argmax(rel[::-1]))     # the last time of the worst drift
+    worst = float(rel[i])
+    witness = Witness((0.0,) * traj_vec.grid.d, float(totals[i]), t=float(traj_vec.times[i]))
     return PropertyReport(name="system_invariance",
                           status="pass" if worst <= inv_tol else "fail",
                           measured=worst, bound=0.0, tolerance=inv_tol,
@@ -154,11 +147,12 @@ def verify_fixed_points(field: CoefficientField, grid, candidates, dt=1e-3,
     witness = None
     saw_moving = False
     for (gf, expect_fixed), traj in zip(candidates, trajs):
-        diff = np.max(np.abs(traj.snapshots[-1].values - gf.values))
+        change = np.abs(traj.values[-1] - gf.values)
+        diff = np.max(change)
         if expect_fixed:
             worst_fixed = max(worst_fixed, float(diff))
             if diff > fp_tol:
-                node = int(np.argmax(np.max(np.abs(traj.snapshots[-1].values - gf.values), axis=0)))
+                node = int(np.argmax(np.max(change, axis=0)))
                 witness = Witness(tuple(grid.nodes[node]), float(diff), t=t_check)
         else:
             saw_moving = True
@@ -299,15 +293,12 @@ def verify_lp_bound(traj_vec: Trajectory, sys: MeasureSystem, p,
     """Discrete L^p_mu operator bound with constant 2^((p-1)/p)."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    f_norm = sys.lp_norm(traj_vec.snapshots[0], p)
+    norms = sys.lp_norm(traj_vec, p)
+    f_norm = float(norms[0])
     bound = 2.0 ** ((p - 1.0) / p) * f_norm + lp_tol
-    worst = -np.inf
-    witness = None
-    for t, snap in zip(traj_vec.times, traj_vec.snapshots):
-        norm = sys.lp_norm(snap, p)
-        if norm > worst:
-            worst = float(norm)
-            witness = Witness((0.0,) * snap.grid.d, norm, t=float(t))
+    i = int(np.argmax(norms))       # the first time of the largest norm
+    worst = float(norms[i])
+    witness = Witness((0.0,) * traj_vec.grid.d, worst, t=float(traj_vec.times[i]))
     return PropertyReport(name=f"lp_bound_p{p}",
                           status="pass" if worst <= bound else "fail",
                           measured=worst, bound=bound, tolerance=lp_tol,
@@ -323,34 +314,28 @@ def verify_longtime(traj_vec: Trajectory, sys: MeasureSystem, r_obs=3.0,
     quadrature M_f and the plateau of <T(t)f, xi>; they must agree within
     `plateau_tol`.  The L^2_mu distance at the final time is checked as well.
     """
-    f = traj_vec.snapshots[0]
-    grid = f.grid
+    grid = traj_vec.grid
     window = grid.window_mask(r_obs)
     xi = sys.xi.xi
-    m_f = functional_Mf(f, sys) / sys.scale
+    m_f = functional_Mf(GridFunction(grid, traj_vec.values[0]), sys) / sys.scale
 
-    errs = []
-    for snap in traj_vec.snapshots:
-        diff = snap.values - m_f * xi[:, None]
-        errs.append(float(np.max(_vector_magnitude(diff)[window])))
-    errs = np.array(errs)
+    diff = traj_vec.values - m_f * xi[:, None]
+    errs = np.max(_vector_magnitude(diff)[:, window], axis=1)
 
     after = traj_vec.times >= decrease_from
     tail = errs[after]
     monotone = bool(np.all(np.diff(tail) <= jitter)) if len(tail) > 1 else True
     final_err = float(errs[-1])
 
-    final = traj_vec.snapshots[-1]
-    plateau = np.einsum("k,kn->n", xi, final.values)
+    plateau = np.einsum("k,kn->n", xi, traj_vec.values[-1])
     plateau_gap = float(np.max(np.abs(plateau[window] - m_f)))
 
     unit = MeasureSystem(xi=sys.xi, mu=sys.mu, scale=1.0)
-    diff_gf = GridFunction(grid, final.values - m_f * xi[:, None])
-    l2_dist = unit.lp_norm(diff_gf, 2)
+    l2_dist = unit.lp_norm(GridFunction(grid, diff[-1]), 2)
 
     ok = monotone and final_err <= longtime_tol and \
         plateau_gap <= plateau_tol and l2_dist <= longtime_tol
-    node = int(np.argmax(_vector_magnitude(final.values - m_f * xi[:, None])))
+    node = int(np.argmax(_vector_magnitude(diff[-1])))
     return PropertyReport(name="longtime_convergence",
                           status="pass" if ok else "fail",
                           measured=final_err, bound=longtime_tol,
@@ -359,7 +344,7 @@ def verify_longtime(traj_vec: Trajectory, sys: MeasureSystem, r_obs=3.0,
                                           t=float(traj_vec.times[-1])),
                           details={"monotone_after": monotone,
                                    "plateau_gap": plateau_gap,
-                                   "l2_distance": l2_dist, "m_f": m_f})
+                                   "l2_distance": l2_dist, "m_f": m_f, "errors": errs})
 
 
 def verify_l2_gradient_decay(traj_vec: Trajectory, mu: MeasureDensity, mu0,
@@ -370,15 +355,9 @@ def verify_l2_gradient_decay(traj_vec: Trajectory, mu: MeasureDensity, mu0,
     The integral of h is bounded by mu0^{-1} sum_j int f_j^2 dmu up to the
     stated slack; mu0 is the ellipticity constant of the field.
     """
-    grid = traj_vec.grid
-    hs = []
-    for snap in traj_vec.snapshots:
-        total = 0.0
-        for comp in snap.values:
-            g = fd_gradient(comp, grid)
-            total += mu.integrate(np.sum(g ** 2, axis=0))
-        hs.append(total)
-    hs = np.array(hs)
+    _check_same_nodes(traj_vec, mu)
+    g = fd_gradient(traj_vec.values, traj_vec.grid)
+    hs = np.sum(mu.integrate(np.sum(g ** 2, axis=0)), axis=-1)
     times = traj_vec.times
 
     h_ref = float(hs[np.argmin(np.abs(times - t_ref))])
@@ -389,8 +368,7 @@ def verify_l2_gradient_decay(traj_vec: Trajectory, mu: MeasureDensity, mu0,
     monotone = bool(np.all(np.diff(tail) <= jitter * scale)) if len(tail) > 1 else True
 
     integral = float(np.trapezoid(hs, times))
-    f = traj_vec.snapshots[0]
-    f_l2_sq = sum(mu.integrate(f.values[j] ** 2) for j in range(f.m))
+    f_l2_sq = float(np.sum(mu.integrate(traj_vec.values[0] ** 2)))
     integral_bound = integral_slack * f_l2_sq / mu0
     ok = decay_ok and monotone and integral <= integral_bound
     return PropertyReport(name="l2_gradient_decay",
@@ -420,6 +398,8 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
         if not np.allclose(field.C(x), C0, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(C0))):
             raise ValueError("counterexample mode requires a constant coupling matrix")
     sym_max = float(np.max(np.linalg.eigvalsh(0.5 * (C0 + C0.T))))
+    if mu_hat is not None:
+        _check_same_nodes(f, mu_hat)
 
     op = assemble_system_operator(field, grid)
     traj = evolve(op, f, t_final=t_final, dt=dt, theta=theta)
@@ -435,7 +415,7 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
 
     tol = 1e-12 * max(1.0, np.linalg.norm(C0))
     if sym_max < -tol:
-        sup = np.array([s.sup_norm_vector() for s in traj.snapshots])
+        sup = _sup_norms(traj.values)
         usable = sup > 1e-300
         sigma, _ = np.polyfit(times[usable & sel], np.log(sup[usable & sel]), 1)
         sigma = -sigma
@@ -454,8 +434,7 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
         null = scipy.linalg.null_space(C0, rcond=1e-10)
         if null.shape[1] >= 1:
             weights = null[:, 0] if null[0, 0] > 0 else -null[:, 0]
-    mass = np.array([sum(weights[j] * mu_hat.integrate(s.values[j])
-                         for j in range(s.m)) for s in traj.snapshots])
+    mass = np.sum(weights * mu_hat.integrate(traj.values), axis=-1)
     if growth:
         usable = mass > 0
         lam, _ = np.polyfit(times[usable & sel], np.log(mass[usable & sel]), 1)

@@ -41,28 +41,40 @@ class SolveError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Stored snapshots of one evolve run; snapshot(0) is the initial datum."""
+    """One evolve run: `values[i]` is the (m, N) state at `times[i]` on the
+    full grid, and values[0] the initial datum.  `values`, of shape
+    (n_times, m, N), is read-only: runs are shared (solve_nested's `runs`),
+    and the GridFunctions of `snapshots` and `snapshot_at` are views of it."""
 
     times: np.ndarray
-    snapshots: list
+    values: np.ndarray
     grid: "object"
     dt: float
     theta: float
     boundary_kind: str
 
+    def __post_init__(self):
+        # a view: the flag below leaves the caller's own array writable
+        v = self.values = np.asarray(self.values, dtype=float).view()
+        if v.ndim != 3 or (v.shape[0], v.shape[2]) != (len(self.times), self.grid.n_nodes):
+            raise ValueError("values must have shape (n_times, m, N)")
+        v.setflags(write=False)
+
     @property
     def m(self):
-        return self.snapshots[0].m
+        return self.values.shape[1]
+
+    @property
+    def snapshots(self):
+        """The stored states as GridFunction views, in time order."""
+        return [GridFunction(self.grid, v) for v in self.values]
 
     def snapshot_at(self, t, tol=1e-9):
-        for tk, snap in zip(self.times, self.snapshots):
-            if abs(tk - t) <= tol:
-                return snap
-        raise KeyError(f"no snapshot stored at t = {t}")
-
-    def stack(self):
-        """All snapshots as an array of shape (n_times, m, N)."""
-        return np.stack([s.values for s in self.snapshots])
+        """The stored state at time t, as a GridFunction view."""
+        hits = np.flatnonzero(np.abs(self.times - t) <= tol)
+        if hits.size == 0:
+            raise KeyError(f"no snapshot stored at t = {t}")
+        return GridFunction(self.grid, self.values[hits[0]])
 
 
 @dataclass
@@ -245,7 +257,8 @@ def _batch(op: DiscreteOperator, data):
 
 def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
            store_every=None, store_times=None):
-    """Repeated theta-steps from f; stores snapshots on the full grid.
+    """Repeated theta-steps from f; writes each stored state, on the full
+    grid, straight into the Trajectory's (n_times, m, N) `values` array.
 
     `f` is a GridFunction, and the result its Trajectory; or `f` is a
     sequence of GridFunctions on the operator's grid with its component
@@ -255,7 +268,7 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     factorization, the 1e-10 relative residual held column by column, and
     each Trajectory bitwise equal to evolving that datum alone.
 
-    Dirichlet runs store the initial datum exactly and later snapshots with
+    Dirichlet runs store the initial datum exactly and later states with
     zero boundary values.  Aborts with SolveError if a step fails its residual
     check, naming the time, and says so when the state has left the finite
     range (instability).
@@ -270,20 +283,16 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
 
     # (k, n) rows transposed: an (n, k) block whose columns are contiguous
     u = np.array([op.restrict(g) for g in data]).T
-    times = [0.0]
-    snapshots = [[g.copy()] for g in data]
-    next_marks = [k for k in marks if k > 0]
-    mark_pos = 0
+    # every datum's stored states, written in place; zero off the dof nodes
+    out = np.zeros((len(data), len(marks), op.m, op.grid.n_nodes))
+    out[:, 0] = [g.values for g in data]
+    slot = {k: i for i, k in enumerate(marks)}
     for k in range(1, n_steps + 1):
         u = stepper.step(u)
-        if mark_pos < len(next_marks) and k == next_marks[mark_pos]:
-            times.append(k * dt)
-            for snaps, column in zip(snapshots, u.T):
-                snaps.append(op.embed(column))
-            mark_pos += 1
-    trajectories = [Trajectory(times=np.array(times), snapshots=snaps, grid=op.grid,
-                               dt=dt, theta=theta, boundary_kind=op.boundary_kind)
-                    for snaps in snapshots]
+        if k in slot:
+            out[:, slot[k]][..., op.dof_indices] = u.T.reshape(len(data), op.m, op.n_dof)
+    trajectories = [Trajectory(times=np.array(marks) * dt, values=v, grid=op.grid, dt=dt,
+                               theta=theta, boundary_kind=op.boundary_kind) for v in out]
     return trajectories if batched else trajectories[0]
 
 
@@ -296,10 +305,9 @@ def cesaro_average(traj: Trajectory) -> GridFunction:
     semigroup, not by discretization error.  The identity that holds exactly
     at integer n is P_n f = R_n(P_1 f).
     """
-    if len(traj.snapshots) < 2:
+    if len(traj.times) < 2:
         raise ValueError("cesaro_average needs at least two stored snapshots")
-    stackv = traj.stack()
-    avg = np.trapezoid(stackv, traj.times, axis=0) / (traj.times[-1] - traj.times[0])
+    avg = np.trapezoid(traj.values, traj.times, axis=0) / (traj.times[-1] - traj.times[0])
     return GridFunction(traj.grid, avg)
 
 
@@ -316,10 +324,8 @@ def discrete_average(op: DiscreteOperator, f: GridFunction, n, dt=1e-3, theta=0.
         return f.copy()
     traj = evolve(op, f, t_final=float(n - 1), dt=dt, theta=theta,
                   store_times=[float(k) for k in range(n)])
-    acc = np.zeros_like(f.values)
-    for k in range(n):
-        acc += traj.snapshot_at(float(k)).values
-    return GridFunction(traj.grid, acc / n)
+    # the stored times are 0, 1, ..., n - 1; the sum runs in that order
+    return GridFunction(traj.grid, np.sum(traj.values, axis=0) / n)
 
 
 def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
@@ -337,10 +343,7 @@ def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
     if len(traj_a.times) != len(traj_b.times) or \
             np.max(np.abs(traj_a.times - traj_b.times)) > 1e-9:
         raise ValueError("trajectories store different times")
-    worst = 0.0
-    for sa, sb in zip(traj_a.snapshots, traj_b.snapshots):
-        worst = max(worst, float(np.max(np.abs(sa.values[:, ia] - sb.values[:, ib]))))
-    return worst
+    return float(np.max(np.abs(traj_a.values[..., ia] - traj_b.values[..., ib])))
 
 
 def _same_run(runs, grid, f, dt, theta, times):
@@ -351,7 +354,7 @@ def _same_run(runs, grid, f, dt, theta, times):
         g = traj.grid
         if (g.d, g.L, g.n_per_axis, g.boundary_kind) == key and \
                 (traj.dt, traj.theta) == (dt, theta) and np.array_equal(traj.times, times) \
-                and np.array_equal(traj.snapshots[0].values, f.values):
+                and np.array_equal(traj.values[0], f.values):
             return traj
     return None
 

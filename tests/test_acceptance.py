@@ -308,7 +308,7 @@ def test_criterion_13_cesaro_consistency(exch, long_traj_e1):
     def averages(n):
         stop = int(np.flatnonzero(np.abs(long_traj_e1.times - n) <= 1e-9)[0]) + 1
         head = replace(long_traj_e1, times=long_traj_e1.times[:stop],
-                       snapshots=long_traj_e1.snapshots[:stop])
+                       values=long_traj_e1.values[:stop])
         r_n = sum(long_traj_e1.snapshot_at(float(k)).values for k in range(n)) / n
         return cesaro_average(head).values, r_n
 

@@ -328,6 +328,23 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_applies_verify_tolerances(tmp_path):
+    # [verify] inv_tol and lp_tol reach the sweep's invariance and L^p
+    # verdicts: a 1e-15 drift tolerance and a bound lowered by 1 fail both
+    base = FAST_CFG.replace("n_per_axis = 161", "n_per_axis = 121") + "\n[sweep]\np = 2\n"
+    strict = base.replace("R_obs = 3.0", "R_obs = 3.0\ninv_tol = 1e-15\nlp_tol = -1.0")
+    cells = []
+    for name, text in (("base", base), ("strict", strict)):
+        path, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        path.write_text(text)
+        cells.append((run(["sweep", "--config", str(path), "--out", str(out)]),
+                      out.read_text().splitlines()[1].split(",")))
+    (code, row), (strict_code, strict_row) = cells
+    assert (code, row[6:8]) == (0, ["pass", "pass"])
+    assert (strict_code, strict_row[6:8]) == (1, ["fail", "fail"])
+    assert row[8:] == strict_row[8:]
+
+
 def test_sweep_ou_family_equals_written_out_drift(tmp_path):
     # family = ou means gamma = beta = 0; the sweep's family is the
     # [problem] field, so both configs run the same single family

@@ -7,14 +7,16 @@ from kolsys.discretization import (
     assemble_scalar_operator,
     assemble_system_operator,
     build_grid,
+    fd_gradient,
     grid_function_from_callable,
 )
-from kolsys.hypotheses import SampleSpec, compute_common_kernel
+from kolsys.hypotheses import KernelVector, SampleSpec, compute_common_kernel
 from kolsys.invariant_measure import (
     MeasureDensity,
     build_measure_system,
     bump_function,
     check_infinitesimal_invariance,
+    functional_Mf,
     solve_scalar_invariant_density,
 )
 from kolsys.properties import (
@@ -31,7 +33,7 @@ from kolsys.properties import (
     verify_positivity,
     verify_semigroup_bounds,
 )
-from kolsys.semigroup import evolve
+from kolsys.semigroup import Trajectory, evolve
 
 XI = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
@@ -349,6 +351,46 @@ def test_uniform_density_fails_infinitesimal_invariance(setup):
     assert rep.measured > 1e-2
 
 
+def test_positive_coupling_fails_domination_and_contraction(setup):
+    # C = +I: the constant datum grows like e^t while the scalar run of
+    # |f|^2 = 1 stays at 1, so both bounds break, by e^2 - 1 and e - 1 at t = 1
+    _, grid, *_ = setup
+    field = constant_c_field(np.eye(2))
+    f = xi_function(grid)
+    absf2 = GridFunction(grid, np.sum(f.values ** 2, axis=0))
+    tv = evolve(assemble_system_operator(field, grid), f, 1.0, dt=1e-2, theta=1.0)
+    ts = evolve(assemble_scalar_operator(field, grid), absf2, 1.0, dt=1e-2, theta=1.0)
+    rep = verify_semigroup_bounds(tv, ts, p=2.0)
+    assert rep.status == "fail"
+    assert rep.details["domination_margin"] == pytest.approx(6.46, abs=0.01)
+    assert rep.details["contraction_margin"] == pytest.approx(1.73, abs=0.01)
+    assert rep.witness.t == 1.0
+
+
+def test_decoupled_run_fails_longtime_convergence(setup):
+    # with C = 0 each component relaxes to its own mean, not to M_f xi: the
+    # exchange2 measure system's limit is wrong for this run
+    field, grid, _, _, _, _, sys = setup
+    f = tanh_gauss(grid)
+    reports = [verify_longtime(evolve(assemble_system_operator(c, grid), f, 10.0, dt=1e-2), sys)
+               for c in (constant_c_field(np.zeros((2, 2))), field)]
+    assert reports[0].status == "fail"
+    assert reports[0].measured == pytest.approx(0.497, abs=1e-3)
+    assert reports[1].passed and reports[1].measured <= 1e-6
+
+
+def test_l2_decay_and_counterexample_reject_density_on_other_nodes(setup):
+    # same node count, other box: the trajectory's nodes are not the density's
+    field, _, _, _, _, mu, _ = setup
+    grid4 = build_grid(1, 4.0, 161, "neumann")
+    f = tanh_gauss(grid4)
+    traj = evolve(assemble_system_operator(field, grid4), f, 0.1, dt=1e-2)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        verify_l2_gradient_decay(traj, mu, mu0=1.0)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        counterexample_mode(constant_c_field(np.eye(2)), f, t_final=0.1, dt=1e-2, mu_hat=mu)
+
+
 def test_counterexample_requires_constant_coupling(setup):
     field, grid, *_ = setup                   # exchange2 has x-dependent coupling
     f = xi_function(grid)
@@ -384,3 +426,111 @@ def test_jordan_symmetric_3x3():
 def test_jordan_rejects_positive_spectrum():
     with pytest.raises(ValueError):
         jordan_asymptotics_check(np.eye(2), np.array([1.0, 0.0]), [0.0, 1.0])
+
+
+# -- the array reductions against per-snapshot loops, with planted ties -------
+
+def _tie_setup():
+    """A 9-node trajectory whose states at t = 0.1 and 0.3 are equal, with
+    two nodes tied in each extreme, a scalar run to go with it, and a
+    measure system on the same grid."""
+    grid = build_grid(1, 2.0, 9, "neumann")
+    x = grid.nodes[:, 0]
+    f = np.array([np.exp(-x ** 2), 0.5 * np.exp(-x ** 2)])
+    a = np.array([1.0 - 0.1 * x ** 2, 0.2 + 0.0 * x])
+    a[0, 2] = a[0, 6] = 3.0                     # the peak, at two nodes
+    a[1, 1] = a[1, 7] = -0.5                    # the minimum, at two nodes
+    b = 0.5 * a
+    c = np.array([0.55 + 0.01 * x ** 2, 0.55 + 0.01 * x ** 2])
+    c[:, 3] = c[:, 5] = 1.0                     # the final farthest from M_f xi
+    values = np.array([f, a, b, a, c])
+    times = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+    traj = Trajectory(times=times, values=values, grid=grid, dt=0.1, theta=1.0,
+                      boundary_kind="neumann")
+    scal = Trajectory(times=times, values=np.array([[1.0 + 0.0 * x]] * 5), grid=grid,
+                      dt=0.1, theta=1.0, boundary_kind="neumann")
+    w = grid.quadrature_weights()
+    rho = np.exp(-x ** 2 / 2)
+    mu = MeasureDensity(grid=grid, rho=rho / np.sum(w * rho), weights=w, norm_residual=0.0)
+    sys = build_measure_system(KernelVector(xi=XI, residual=0.0, sample_count=1), mu, 1.3)
+    return traj, scal, mu, sys
+
+
+def _outcome(rep):
+    return rep.status, rep.measured, rep.witness.x, rep.witness.t
+
+
+def test_array_reductions_equal_per_snapshot_loops():
+    traj, scal, mu, sys = _tie_setup()
+    grid, snaps = traj.grid, traj.snapshots
+
+    # the batched functionals equal their one-state values bit for bit
+    totals = functional_Mf(traj, sys)
+    assert np.array_equal(totals, [functional_Mf(s, sys) for s in snaps])
+    for p in (1.0, 2.0, 4.0):
+        assert np.array_equal(sys.lp_norm(traj, p), [sys.lp_norm(s, p) for s in snaps])
+    assert np.array_equal(mu.integrate(traj.values),
+                          [[mu.integrate(c) for c in s.values] for s in snaps])
+
+    # domination and contraction: the first time of the worst violation
+    worst, worst_sup = -np.inf, -np.inf
+    for t, s, sc in zip(traj.times, snaps, scal.snapshots):
+        mag = np.sqrt(np.sum(s.values ** 2, axis=0))
+        dom = mag ** 2.0 - sc.values[0]
+        if np.max(dom) > worst:
+            worst, wx, wt = float(np.max(dom)), tuple(grid.nodes[np.argmax(dom)]), float(t)
+        worst_sup = max(worst_sup, float(np.max(mag)) - snaps[0].sup_norm_vector())
+    assert (wt, wx) == (0.1, (-1.0,))
+    ref = ("pass" if max(worst, worst_sup) <= 1e-6 else "fail", max(worst, worst_sup), wx, wt)
+    assert _outcome(verify_semigroup_bounds(traj, scal, p=2.0)) == ref
+
+    # positivity: the first time of the minimum, its first node
+    worst = np.inf
+    for t, s in zip(traj.times, snaps):
+        if np.min(s.values) < worst:
+            worst, wt = float(np.min(s.values)), float(t)
+            wx = tuple(grid.nodes[np.unravel_index(np.argmin(s.values), s.values.shape)[1]])
+    assert (wt, wx) == (0.1, (-1.5,))
+    rep = verify_positivity(traj, pos_tol=1e-8, floor_time=0.4)
+    assert _outcome(rep) == ("fail", worst, wx, wt)
+
+    # invariance: the last time of the worst drift
+    base = functional_Mf(snaps[0], sys)
+    denom = max(abs(base), sys.scale * snaps[0].sup_norm_vector())
+    worst = 0.0
+    for t, s in zip(traj.times, snaps):
+        total = functional_Mf(s, sys)
+        if abs(total - base) / denom >= worst:
+            worst, value, wt = abs(total - base) / denom, total, float(t)
+    assert wt == 0.3
+    rep = verify_invariance(traj, sys)
+    assert _outcome(rep) == ("pass" if worst <= 1e-2 else "fail", worst, (0.0,), wt)
+    assert rep.witness.value == value
+
+    # L^p bound: the first time of the largest norm
+    for p in (1.0, 2.0, 4.0):
+        worst = -np.inf
+        for t, s in zip(traj.times, snaps):
+            if sys.lp_norm(s, p) > worst:
+                worst, wt = sys.lp_norm(s, p), float(t)
+        assert wt == 0.1
+        bound = 2.0 ** ((p - 1.0) / p) * sys.lp_norm(snaps[0], p) + 1e-6
+        assert _outcome(verify_lp_bound(traj, sys, p)) == \
+            ("pass" if worst <= bound else "fail", worst, (0.0,), wt)
+
+    # long-time limit: the error curve, and the first farthest node at the end
+    m_f = functional_Mf(snaps[0], sys) / sys.scale
+    errs = [float(np.max(np.sqrt(np.sum((s.values - m_f * XI[:, None]) ** 2, axis=0))))
+            for s in snaps]
+    mag = np.sqrt(np.sum((snaps[-1].values - m_f * XI[:, None]) ** 2, axis=0))
+    rep = verify_longtime(traj, sys, r_obs=2.0, decrease_from=10.0)
+    assert np.array_equal(rep.details["errors"], errs)
+    assert rep.witness.x == tuple(grid.nodes[np.argmax(mag)]) == (-0.5,)
+    assert (rep.measured, rep.witness.t) == (errs[-1], 0.4)
+
+    # L^2 gradient decay: h(t) summed per component, as a loop would
+    hs = [sum(mu.integrate(np.sum(fd_gradient(c, grid) ** 2, axis=0)) for c in s.values)
+          for s in snaps]
+    rep = verify_l2_gradient_decay(traj, mu, mu0=1.0, t_ref=0.1)
+    assert (rep.measured, rep.details["h_ref"]) == (hs[-1], hs[1])
+    assert rep.details["integral"] == float(np.trapezoid(hs, traj.times))

@@ -203,6 +203,32 @@ def test_evolve_initial_snapshot_exact():
     assert np.array_equal(traj.snapshots[0].values, f.values)
 
 
+def test_trajectory_values_read_only():
+    # stored runs are shared (solve_nested's `runs`) and the snapshot views
+    # point into them, so no check may write to a run another check reads
+    grid = build_grid(1, 6.0, 41, "dirichlet")
+    op = assemble_system_operator(exchange2_field(), grid)
+    f = grid_function_from_callable(grid, tanh_gauss)
+    traj = evolve(op, f, t_final=0.1, dt=1e-2, store_every=5)
+    assert traj.values.shape == (3, 2, grid.n_nodes)
+    assert np.all(traj.values[1:, :, [0, -1]] == 0.0)       # the Dirichlet boundary
+    u = op.restrict(f)
+    for k in range(1, 11):
+        u = step(op, u, 1e-2)
+        if k % 5 == 0:
+            assert np.array_equal(traj.values[k // 5], op.embed(u).values)
+    with pytest.raises(ValueError, match="read-only"):
+        traj.values[1, 0, 5] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.snapshots[1].values[0, 5] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.snapshot_at(0.05).values[0] += 1.0
+    assert np.shares_memory(traj.snapshot_at(0.05).values, traj.values)
+    with pytest.raises(ValueError, match="n_times, m, N"):
+        Trajectory(times=np.array([0.0]), values=np.ones((2, 1, grid.n_nodes)), grid=grid,
+                   dt=1.0, theta=0.5, boundary_kind="dirichlet")
+
+
 @pytest.mark.parametrize("store_every", [0, -5])
 def test_evolve_rejects_store_every_below_one(store_every):
     grid = build_grid(1, 2.0, 21, "neumann")
@@ -275,11 +301,11 @@ def test_vector_scalar_reduction_along_kernel():
 def test_cesaro_average_constant():
     grid = build_grid(1, 1.0, 9)
     xi = np.array([0.6, 0.8])
-    snaps = [GridFunction(grid, np.repeat(xi[:, None], 9, axis=1)) for _ in range(5)]
-    traj = Trajectory(times=np.linspace(0, 1, 5), snapshots=snaps, grid=grid,
+    values = np.repeat(xi[None, :, None], 9, axis=2).repeat(5, axis=0)
+    traj = Trajectory(times=np.linspace(0, 1, 5), values=values, grid=grid,
                       dt=0.25, theta=0.5, boundary_kind="neumann")
     avg = cesaro_average(traj)
-    assert np.allclose(avg.values, snaps[0].values, atol=1e-14)
+    assert np.allclose(avg.values, values[0], atol=1e-14)
 
 
 def test_cesaro_average_exponential_decay():
@@ -287,9 +313,8 @@ def test_cesaro_average_exponential_decay():
     grid = build_grid(1, 1.0, 9)
     v = np.linspace(1, 2, 9)
     times = np.linspace(0, 1, 101)
-    snaps = [GridFunction(grid, np.exp(-t) * v[None, :]) for t in times]
-    traj = Trajectory(times=times, snapshots=snaps, grid=grid, dt=0.01,
-                      theta=0.5, boundary_kind="neumann")
+    traj = Trajectory(times=times, values=np.exp(-times)[:, None, None] * v[None, None, :],
+                      grid=grid, dt=0.01, theta=0.5, boundary_kind="neumann")
     avg = cesaro_average(traj)
     expected = (1 - np.exp(-1.0)) * v
     assert np.max(np.abs(avg.values[0] - expected)) <= 2e-5 * np.max(v)
@@ -297,7 +322,7 @@ def test_cesaro_average_exponential_decay():
 
 def test_cesaro_needs_two_snapshots():
     grid = build_grid(1, 1.0, 9)
-    traj = Trajectory(times=np.array([0.0]), snapshots=[GridFunction(grid, np.ones((1, 9)))],
+    traj = Trajectory(times=np.array([0.0]), values=np.ones((1, 1, 9)),
                       grid=grid, dt=1.0, theta=0.5, boundary_kind="neumann")
     with pytest.raises(ValueError):
         cesaro_average(traj)
@@ -421,8 +446,8 @@ def test_window_discrepancy_pairs_nodes_by_coordinate(d):
     trajs = []
     for L, n in ((2.0, 21), (3.0, 31)):
         grid = build_grid(d, L, n, "neumann")
-        snaps = [GridFunction(grid, rng.standard_normal((2, grid.n_nodes))) for _ in range(3)]
-        trajs.append(Trajectory(times=np.array([0.0, 0.1, 0.2]), snapshots=snaps, grid=grid,
+        trajs.append(Trajectory(times=np.array([0.0, 0.1, 0.2]),
+                                values=rng.standard_normal((3, 2, grid.n_nodes)), grid=grid,
                                 dt=0.1, theta=0.5, boundary_kind="neumann"))
     r_obs = 1.5
     index = [{tuple(np.round(x / t.grid.h).astype(int)): i for i, x in enumerate(t.grid.nodes)
