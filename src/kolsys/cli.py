@@ -184,7 +184,7 @@ def _rows(prefixes, values):
 def _trajectory_csv(traj):
     grid = traj.grid
     m = traj.m
-    coord_cols = ["x1"] if grid.d == 1 else ["x1", "x2"]
+    coord_cols = [f"x{i + 1}" for i in range(grid.d)]
     header = ["t", "node_index"] + coord_cols + [f"u_{k + 1}" for k in range(m)]
     blocks = [",".join(header)]
     nodes = _node_cells(grid)
@@ -226,7 +226,7 @@ def cmd_measure(args):
     field = make_builtin(family_from_config(cfg))
     grid = grid_from_config(cfg)
     mu = solve_scalar_invariant_density(field, grid)
-    coord_cols = ["x1"] if grid.d == 1 else ["x1", "x2"]
+    coord_cols = [f"x{i + 1}" for i in range(grid.d)]
     header = ["node_index"] + coord_cols + ["rho"]
     oracle = None
     if args.oracle:
@@ -335,7 +335,8 @@ def _suite_rates(cfg, field):
     eps = 2.0 * grid.h
 
     def radial(x):
-        return x[..., 0] if grid.d == 1 else np.sqrt(rowdot(x, x)) * np.sign(x[..., 0] + 1e-300)
+        # at d = 1 this is x itself: sqrt(x * x) == |x| in floating point
+        return np.sqrt(rowdot(x, x)) * np.sign(x[..., 0] + 1e-300)
 
     pad = [0.0] * (field.dim_m - 1)
     f_step = grid_function_from_callable(

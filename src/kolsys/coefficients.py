@@ -269,8 +269,8 @@ def evaluate(field: CoefficientField, x):
     return tuple(out)
 
 
-def _per_point(values):
-    """A float for one point, an array for a batch."""
+def _float_or_array(values):
+    """A float for a reduction to one value (one point), else the array (a batch)."""
     return float(values) if np.ndim(values) == 0 else values
 
 
@@ -314,16 +314,16 @@ class DerivativeBundle:
     def r(self, x):
         jb = self.jac_b(x)
         sym = 0.5 * (jb + np.swapaxes(jb, -1, -2))
-        return _per_point(np.max(np.linalg.eigvalsh(sym), axis=-1))
+        return _float_or_array(np.max(np.linalg.eigvalsh(sym), axis=-1))
 
     def mu_q(self, x):
-        return _per_point(np.min(np.linalg.eigvalsh(self.field.Q(x)), axis=-1))
+        return _float_or_array(np.min(np.linalg.eigvalsh(self.field.Q(x)), axis=-1))
 
     def q1(self, x):
-        return _per_point(np.sqrt(_sum_sq(self.dQ(x), 3)))
+        return _float_or_array(np.sqrt(_sum_sq(self.dQ(x), 3)))
 
     def c1(self, x):
-        return _per_point(np.sqrt(_sum_sq(self.dC(x), 3)))
+        return _float_or_array(np.sqrt(_sum_sq(self.dC(x), 3)))
 
     def _mixed_pairs(self, d2):
         # sum over multi-indices |alpha| = 2: mixed pairs counted once
@@ -332,7 +332,7 @@ class DerivativeBundle:
         for k in range(d):
             for l in range(k, d):
                 total = total + _sum_sq(d2[..., k, l, :, :], 2)
-        return _per_point(np.sqrt(total))
+        return _float_or_array(np.sqrt(total))
 
     def q2(self, x):
         self._require_second()
@@ -345,21 +345,9 @@ class DerivativeBundle:
     def b2(self, x):
         # ordered index pairs, matching sum_{i,j} |D_ij b|^2
         self._require_second()
-        return _per_point(np.sqrt(_sum_sq(self.d2b(x), 3)))
+        return _float_or_array(np.sqrt(_sum_sq(self.d2b(x), 3)))
 
 
 def derivative_bundle(field: CoefficientField) -> DerivativeBundle:
     """Return the analytic derivative bundle of a field."""
     return DerivativeBundle(field)
-
-
-def finite_difference_jacobian(fn, x, h=1e-4):
-    """Central-difference Jacobian of a vector/matrix-valued map, O(h^2)."""
-    x = np.asarray(x, dtype=float)
-    base = np.asarray(fn(x))
-    out = np.zeros((len(x),) + base.shape)
-    for k in range(len(x)):
-        e = np.zeros_like(x)
-        e[k] = h
-        out[k] = (np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * h)
-    return out

@@ -8,6 +8,7 @@ exhausting family of balls; d <= 2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,17 +40,9 @@ class Grid:
         return (self.n_per_axis,) * self.d
 
     def interior_mask(self):
-        n = self.n_per_axis
-        if self.d == 1:
-            m = np.zeros(n, dtype=bool)
-            m[1:-1] = True
-            return m
-        m1 = np.zeros((n, n), dtype=bool)
-        m1[1:-1, 1:-1] = True
-        return m1.ravel()
-
-    def boundary_mask(self):
-        return ~self.interior_mask()
+        m = np.zeros(self.shape, dtype=bool)
+        m[(slice(1, -1),) * self.d] = True
+        return m.ravel()
 
     def interior_indices(self):
         return np.flatnonzero(self.interior_mask())
@@ -60,12 +53,15 @@ class Grid:
         return np.all(np.abs(self.nodes) <= r_obs + tol, axis=1)
 
     def quadrature_weights(self):
-        """Trapezoidal weights, tensor-product in d = 2."""
+        """Trapezoidal weights: the tensor product of the 1-D rule."""
         w1 = np.full(self.n_per_axis, self.h)
         w1[0] = w1[-1] = 0.5 * self.h
-        if self.d == 1:
-            return w1
-        return np.outer(w1, w1).ravel()
+        return np.prod(tensor_nodes(w1, self.d), axis=1)
+
+
+def tensor_nodes(axis, d):
+    """The (n**d, d) points of axis x ... x axis, in lexicographic order."""
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def build_grid(d, L, n_per_axis, boundary_kind="neumann") -> Grid:
@@ -81,14 +77,9 @@ def build_grid(d, L, n_per_axis, boundary_kind="neumann") -> Grid:
         raise ValueError(f"boundary_kind must be one of {BOUNDARY_KINDS}")
     axis = np.linspace(-L, L, n)
     axis[n // 2] = 0.0
-    if d == 1:
-        nodes = axis[:, None].copy()
-    else:
-        X1, X2 = np.meshgrid(axis, axis, indexing="ij")
-        nodes = np.column_stack([X1.ravel(), X2.ravel()])
     h = 2.0 * L / (n - 1)
     return Grid(d=d, L=float(L), n_per_axis=n, boundary_kind=boundary_kind,
-                h=h, axis=axis, nodes=nodes)
+                h=h, axis=axis, nodes=tensor_nodes(axis, d))
 
 
 @dataclass
@@ -114,10 +105,6 @@ class GridFunction:
 
     def copy(self):
         return GridFunction(self.grid, self.values.copy())
-
-    def sup_norm_vector(self):
-        """Vector sup norm: sqrt(sum_k sup_x |f_k(x)|^2)."""
-        return float(np.sqrt(np.sum(np.max(np.abs(self.values), axis=1) ** 2)))
 
 
 def grid_function_from_callable(grid, fn, m=None):
@@ -163,14 +150,6 @@ class DiscreteOperator:
         vals = np.zeros((self.m, self.grid.n_nodes))
         vals[:, self.dof_indices] = np.asarray(u).reshape(self.m, self.n_dof)
         return GridFunction(self.grid, vals)
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return self.embed(self.matrix @ self.restrict(f))
-
-    def component_block(self, k, l):
-        """(k, l) component-coupling block as a sparse matrix."""
-        n = self.n_dof
-        return self.matrix[k * n:(k + 1) * n, l * n:(l + 1) * n]
 
 
 def _scalar_stencil_entries(Q, b, grid, dof):
@@ -264,40 +243,38 @@ def fd_gradient(values, grid):
     `values` holds the nodes on its last axis, shape (..., N); the gradient
     has shape (d, ..., N).
     """
-    if grid.d == 1:
-        return np.gradient(values, grid.h, axis=-1)[None]
     f = values.reshape(values.shape[:-1] + grid.shape)
-    return np.stack([g.reshape(values.shape)
-                     for g in np.gradient(f, grid.h, grid.h, axis=(-2, -1))])
+    return np.stack([np.gradient(f, grid.h, axis=a).reshape(values.shape)
+                     for a in range(-grid.d, 0)])
+
+
+def _second_difference(f, axis, h):
+    """D_aa f along one grid axis, the edge entries copied from the adjacent
+    interior node."""
+    g = np.moveaxis(f, axis, -1)
+    out = np.empty_like(g)
+    out[..., 1:-1] = (g[..., 2:] - 2 * g[..., 1:-1] + g[..., :-2]) / h ** 2
+    out[..., 0], out[..., -1] = out[..., 1], out[..., -2]
+    return np.moveaxis(out, -1, axis)
 
 
 def fd_hessian_diag(values, grid):
-    """Pure second differences D_ii of nodal values, shape (d, N).
+    """Pure second differences D_ii of (..., N) nodal values, shape (d, ..., N).
 
     Boundary entries are copied from the adjacent interior node; callers
     restrict to an interior observation window anyway.
     """
-    if grid.d == 1:
-        out = np.empty_like(values)
-        out[1:-1] = (values[2:] - 2 * values[1:-1] + values[:-2]) / grid.h ** 2
-        out[0], out[-1] = out[1], out[-2]
-        return out[None, :]
-    f = values.reshape(grid.shape)
-    d11 = np.empty_like(f)
-    d11[1:-1, :] = (f[2:, :] - 2 * f[1:-1, :] + f[:-2, :]) / grid.h ** 2
-    d11[0, :], d11[-1, :] = d11[1, :], d11[-2, :]
-    d22 = np.empty_like(f)
-    d22[:, 1:-1] = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / grid.h ** 2
-    d22[:, 0], d22[:, -1] = d22[:, 1], d22[:, -2]
-    return np.stack([d11.ravel(), d22.ravel()])
+    f = values.reshape(values.shape[:-1] + grid.shape)
+    return np.stack([_second_difference(f, a, grid.h).reshape(values.shape)
+                     for a in range(-grid.d, 0)])
 
 
 def fd_hessian_frobenius_sq(values, grid):
-    """|D^2 u|^2 = sum over ordered index pairs (i,j) of (D_ij u)^2, shape (N,)."""
-    diag = fd_hessian_diag(values, grid)
-    total = np.sum(diag ** 2, axis=0)
-    if grid.d == 2:
-        g = fd_gradient(values, grid)
-        d12 = fd_gradient(g[0], grid)[1]
-        total = total + 2.0 * d12 ** 2
+    """|D^2 u|^2 = sum over ordered index pairs (i,j) of (D_ij u)^2, shape (..., N);
+    a mixed D_ij (i < j) is the central difference along j of the one along i."""
+    total = np.sum(fd_hessian_diag(values, grid) ** 2, axis=0)
+    f = values.reshape(values.shape[:-1] + grid.shape)
+    for i, j in itertools.combinations(range(-grid.d, 0), 2):
+        d_ij = np.gradient(np.gradient(f, grid.h, axis=i), grid.h, axis=j)
+        total = total + 2.0 * d_ij.reshape(values.shape) ** 2
     return total

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from kolsys.coefficients import CoefficientField, derivative_bundle, evaluate, libm_pow, rowdot
+from kolsys.discretization import tensor_nodes
 from kolsys.reports import CheckRecord, HypothesisReport, PropertyReport, Witness
 
 _EQ_TOL = 1e-12
@@ -31,13 +32,9 @@ class SampleSpec:
     def points(self, d):
         if self.n_per_axis < 10:
             raise ValueError("sample_spec needs at least 10 points per axis")
-        axis = np.linspace(-self.radius, self.radius, self.n_per_axis)
-        if d == 1:
-            return axis[:, None].copy()
-        if d == 2:
-            X1, X2 = np.meshgrid(axis, axis, indexing="ij")
-            return np.column_stack([X1.ravel(), X2.ravel()])
-        raise ValueError("only d in {1, 2} is supported")
+        if d not in (1, 2):
+            raise ValueError("only d in {1, 2} is supported")
+        return tensor_nodes(np.linspace(-self.radius, self.radius, self.n_per_axis), d)
 
     def annulus_index(self, points):
         radii = np.linalg.norm(points, axis=1)
@@ -65,24 +62,9 @@ def _annulus_reduce(values, idx, n_annuli, reducer):
     return out
 
 
-def irreducibility_brute_force(pattern):
-    """No proper nonempty K with pattern[i, j] false for all i in K, j not in K.
-
-    Exponential reference implementation, usable for m <= 12.
-    """
-    m = pattern.shape[0]
-    if m > 12:
-        raise ValueError("brute force limited to m <= 12")
-    for bits in range(1, 2 ** m - 1):
-        K = [i for i in range(m) if bits >> i & 1]
-        rest = [j for j in range(m) if not bits >> j & 1]
-        if not any(pattern[i, j] for i in K for j in rest):
-            return False, K
-    return True, None
-
-
 def irreducibility_graph(pattern):
-    """Same predicate via strong connectivity of the off-diagonal edge graph.
+    """No proper nonempty K with pattern[i, j] false for all i in K, j not in K,
+    decided by strong connectivity of the off-diagonal edge graph.
 
     Every proper nonempty K has an outgoing edge iff the directed graph is
     strongly connected; a sink strongly connected component is the witness

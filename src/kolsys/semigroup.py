@@ -328,6 +328,12 @@ def discrete_average(op: DiscreteOperator, f: GridFunction, n, dt=1e-3, theta=0.
     return GridFunction(traj.grid, np.sum(traj.values, axis=0) / n)
 
 
+def _check_same_times(a: Trajectory, b: Trajectory):
+    """ValueError unless the two runs store the same times, to 1e-9."""
+    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-9:
+        raise ValueError("trajectories store different times")
+
+
 def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
     """Sup over window nodes, stored times and components of |a - b|.
 
@@ -340,9 +346,7 @@ def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
     if ia.size == 0 or ia.size != ib.size or \
             np.max(np.abs(ga.nodes[ia] - gb.nodes[ib])) > 1e-9 * ga.h:
         raise ValueError("observation windows do not hold the same grid nodes")
-    if len(traj_a.times) != len(traj_b.times) or \
-            np.max(np.abs(traj_a.times - traj_b.times)) > 1e-9:
-        raise ValueError("trajectories store different times")
+    _check_same_times(traj_a, traj_b)
     return float(np.max(np.abs(traj_a.values[..., ia] - traj_b.values[..., ib])))
 
 

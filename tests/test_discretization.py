@@ -9,6 +9,9 @@ from kolsys.discretization import (
     assemble_scalar_operator,
     assemble_system_operator,
     build_grid,
+    fd_gradient,
+    fd_hessian_diag,
+    fd_hessian_frobenius_sq,
     grid_function_from_callable,
 )
 
@@ -56,7 +59,7 @@ def test_neumann_constant_in_kernel():
     grid = build_grid(1, 6.0, 81, "neumann")
     op = assemble_scalar_operator(field, grid)
     ones = GridFunction(grid, np.ones((1, grid.n_nodes)))
-    assert np.max(np.abs(op.apply(ones).values)) <= 1e-12
+    assert np.max(np.abs(op.embed(op.matrix @ op.restrict(ones)).values)) <= 1e-12
 
 
 def test_neumann_constant_in_kernel_2d():
@@ -66,7 +69,7 @@ def test_neumann_constant_in_kernel_2d():
     grid = build_grid(2, 2.0, 21, "neumann")
     op = assemble_scalar_operator(field, grid)
     ones = GridFunction(grid, np.ones((1, grid.n_nodes)))
-    assert np.max(np.abs(op.apply(ones).values)) <= 1e-11
+    assert np.max(np.abs(op.embed(op.matrix @ op.restrict(ones)).values)) <= 1e-11
 
 
 def test_coupling_block_at_origin():
@@ -75,8 +78,9 @@ def test_coupling_block_at_origin():
     op = assemble_system_operator(field, grid)
     scalar = assemble_scalar_operator(field, grid)
     i0 = int(np.argmin(np.abs(grid.axis)))
-    block01 = op.component_block(0, 1)
-    block00 = op.component_block(0, 0)
+    n = op.n_dof
+    block01 = op.matrix[:n, n:2 * n]
+    block00 = op.matrix[:n, :n]
     assert block01[i0, i0] == pytest.approx(1.0)       # C(0) = [[-1,1],[1,-1]]
     assert (block00 - scalar.matrix)[i0, i0] == pytest.approx(-1.0)
 
@@ -85,7 +89,7 @@ def test_coupling_blocks_are_diagonal():
     field = exchange2_field()
     grid = build_grid(1, 6.0, 41, "dirichlet")
     op = assemble_system_operator(field, grid)
-    off = op.component_block(0, 1).tocoo()
+    off = op.matrix[:op.n_dof, op.n_dof:2 * op.n_dof].tocoo()
     assert np.all(off.row == off.col)
 
 
@@ -149,7 +153,7 @@ def test_scalar_operator_convergence_order(d, ns):
         grid = build_grid(d, 4.0, n, "dirichlet")
         op = assemble_scalar_operator(field, grid)
         u = grid_function_from_callable(grid, u_fn, m=1)
-        got = op.apply(u).values[0]
+        got = op.embed(op.matrix @ op.restrict(u)).values[0]
         want = np.array([analytic(x) for x in grid.nodes])
         mask = grid.interior_mask()
         errs.append(np.max(np.abs(got - want)[mask]))
@@ -169,8 +173,8 @@ def test_dirichlet_and_neumann_agree_on_compact_support():
         return np.where(r2 < 1, (1 - r2) ** 3, 0.0)
 
     u = grid_function_from_callable(grid_d, bump, m=1)
-    a_d = op_d.apply(u).values[0]
-    a_n = op_n.apply(u).values[0]
+    a_d = op_d.embed(op_d.matrix @ op_d.restrict(u)).values[0]
+    a_n = op_n.embed(op_n.matrix @ op_n.restrict(u)).values[0]
     inner = grid_d.interior_mask()
     assert np.allclose(a_d[inner], a_n[inner], atol=1e-12)
 
@@ -206,7 +210,7 @@ def test_restrict_embed_roundtrip():
     f = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)])
     back = op.embed(op.restrict(f))
     assert np.allclose(back.values[:, op.dof_indices], f.values[:, op.dof_indices])
-    assert np.all(back.values[:, grid.boundary_mask()] == 0.0)
+    assert np.all(back.values[:, ~grid.interior_mask()] == 0.0)
 
 
 def reference_system_matrix(field, grid, m=None):
@@ -334,3 +338,47 @@ def test_nonfinite_coefficient_names_the_node():
         lambda x: np.zeros((1, 1)))
     with pytest.raises(ValueError, match=r"non-finite Q at \(0\.5,\)"):
         assemble_scalar_operator(field, build_grid(1, 2.0, 9, "neumann"))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fd_helpers_on_stacks_equal_per_slice_calls(d):
+    # (T, m, N) values: every slice of the batched result equals the call on
+    # that slice's (N,) values, bit for bit
+    grid = build_grid(d, 3.0, 25 if d == 1 else 11)
+    values = np.random.default_rng(3).standard_normal((4, 3, grid.n_nodes))
+    grad = fd_gradient(values, grid)
+    diag = fd_hessian_diag(values, grid)
+    frob = fd_hessian_frobenius_sq(values, grid)
+    assert grad.shape == diag.shape == (d,) + values.shape
+    assert frob.shape == values.shape
+    for t in range(values.shape[0]):
+        for k in range(values.shape[1]):
+            assert np.array_equal(grad[:, t, k], fd_gradient(values[t, k], grid))
+            assert np.array_equal(diag[:, t, k], fd_hessian_diag(values[t, k], grid))
+            assert np.array_equal(frob[t, k], fd_hessian_frobenius_sq(values[t, k], grid))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fd_helpers_exact_on_quadratics(d):
+    # u = x^T A x / 2 with A = [[a, b], [b, c]]: central differences are exact,
+    # so grad u = A x, D_ii u = A_ii and |D^2 u|^2 = sum_ij A_ij^2 at every
+    # node interior along all axes
+    A = np.array([[1.5, -0.7], [-0.7, 0.4]])[:d, :d]
+    grid = build_grid(d, 2.0, 9)
+    x = grid.nodes
+    u = 0.5 * np.sum((x @ A) * x, axis=1)
+    inner = grid.interior_mask()
+    assert np.allclose(fd_gradient(u, grid).T[inner], (x @ A)[inner], atol=1e-12)
+    assert np.allclose(fd_hessian_diag(u, grid).T[inner], np.diag(A), atol=1e-12)
+    assert np.allclose(fd_hessian_frobenius_sq(u, grid)[inner], np.sum(A ** 2), atol=1e-11)
+
+
+def test_grid_layer_is_tensor_product():
+    grid = build_grid(2, 1.0, 5)
+    x1, x2 = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    assert np.array_equal(grid.nodes, np.column_stack([x1.ravel(), x2.ravel()]))
+    w1 = build_grid(1, 1.0, 5).quadrature_weights()
+    assert np.array_equal(grid.quadrature_weights(), np.outer(w1, w1).ravel())
+    interior = np.zeros((5, 5), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    assert np.array_equal(grid.interior_mask(), interior.ravel())

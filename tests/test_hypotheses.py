@@ -11,7 +11,6 @@ from kolsys.hypotheses import (
     check_lyapunov,
     compute_common_kernel,
     estimate_kp,
-    irreducibility_brute_force,
     irreducibility_graph,
     spectral_check_C,
 )
@@ -206,6 +205,22 @@ def test_spectral_check_identity_fails():
     rep = spectral_check_C(constant_field(np.eye(2)), np.zeros((1, 1)))
     assert rep.status == "fail"
     assert rep.measured > 0.4
+
+
+def irreducibility_brute_force(pattern):
+    """No proper nonempty K with pattern[i, j] false for all i in K, j not in K.
+
+    Exponential reference implementation, usable for m <= 12.
+    """
+    m = pattern.shape[0]
+    if m > 12:
+        raise ValueError("brute force limited to m <= 12")
+    for bits in range(1, 2 ** m - 1):
+        K = [i for i in range(m) if bits >> i & 1]
+        rest = [j for j in range(m) if not bits >> j & 1]
+        if not any(pattern[i, j] for i in K for j in rest):
+            return False, K
+    return True, None
 
 
 @settings(max_examples=60, deadline=None)

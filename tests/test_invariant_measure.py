@@ -3,9 +3,16 @@ import pytest
 import scipy.integrate
 
 from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin
-from kolsys.discretization import GridFunction, build_grid, grid_function_from_callable
+from kolsys.discretization import (
+    GridFunction,
+    assemble_scalar_operator,
+    build_grid,
+    grid_function_from_callable,
+)
 from kolsys.hypotheses import SampleSpec, compute_common_kernel
 from kolsys.invariant_measure import (
+    MeasureDensity,
+    _c2_norm,
     _normalize,
     bump_function,
     build_measure_system,
@@ -206,6 +213,53 @@ def test_infinitesimal_invariance_zero_function():
     mu = oracle_density_1d(field, grid)
     rep = check_infinitesimal_invariance(field, mu, [lambda x: 0.0])
     assert rep.measured == 0.0
+
+
+def _invariance_by_loop(field, mu, fns):
+    """The per-test-function loop: (worst ratio, witness node, witness residual)."""
+    grid = mu.grid
+    op = assemble_scalar_operator(field, build_grid(grid.d, grid.L, grid.n_per_axis, "dirichlet"))
+    worst, witness = 0.0, None
+    for fn in fns:
+        psi = grid_function_from_callable(grid, fn, m=1).values[0]
+        c2 = float(_c2_norm(psi, grid))
+        a_psi = np.zeros(grid.n_nodes)
+        a_psi[op.dof_indices] = op.matrix @ psi[op.dof_indices]
+        residual = abs(mu.integrate(a_psi))
+        rel = residual / max(c2, 1e-300) if c2 > 0 else residual
+        if rel >= worst:
+            worst = rel
+            witness = (tuple(grid.nodes[np.argmax(np.abs(psi))]), residual)
+    return worst, witness
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_infinitesimal_invariance_equals_per_function_loop(d):
+    field = make_builtin(BuiltinFamily(dim_d=d, dim_m=2, gamma=0.0, beta=0.0, b0=1.0,
+                                       Q0=np.eye(d)))
+    grid = build_grid(d, 4.0, 81 if d == 1 else 21)
+    # any density serves: the check and the loop integrate against the same one
+    w = grid.quadrature_weights()
+    rho = normalized_on_grid(grid, np.exp(-0.5 * np.sum(grid.nodes ** 2, axis=1)))
+    mu = MeasureDensity(grid=grid, rho=rho, weights=w, norm_residual=0.0)
+    twin = bump_function([0.0] * d, 2.0)      # the worst ratio, twice
+    fns = [twin, bump_function([0.5] * d, 1.5), bump_function([-1.0] * d, 1.0), twin]
+    rep = check_infinitesimal_invariance(field, mu, fns, inv_tol=1.0)
+    worst, (x, value) = _invariance_by_loop(field, mu, fns)
+    assert (rep.measured, rep.witness.x, rep.witness.value) == (worst, x, value)
+    assert rep.details["n_test_functions"] == 4
+
+    # both ratios are 0: the last test function, peaked at the far corner, wins
+    def edge(x):
+        return np.where(np.all(x >= grid.L - 1e-9, axis=-1), 1.0, 0.0)
+
+    rep = check_infinitesimal_invariance(field, mu, [lambda x: 0.0, edge])
+    assert (rep.measured, rep.witness.x, rep.witness.value) == (0.0, (grid.L,) * d, 0.0)
+    assert _invariance_by_loop(field, mu, [lambda x: 0.0, edge]) == (0.0, ((grid.L,) * d, 0.0))
+
+    rep = check_infinitesimal_invariance(field, mu, [])
+    assert (rep.status, rep.measured, rep.witness) == ("pass", 0.0, None)
+    assert rep.details["n_test_functions"] == 0
 
 
 def test_infinitesimal_invariance_refines_at_second_order():

@@ -8,6 +8,7 @@ from kolsys.discretization import (
     assemble_system_operator,
     build_grid,
     fd_gradient,
+    fd_hessian_frobenius_sq,
     grid_function_from_callable,
 )
 from kolsys.hypotheses import KernelVector, SampleSpec, compute_common_kernel
@@ -20,6 +21,7 @@ from kolsys.invariant_measure import (
     solve_scalar_invariant_density,
 )
 from kolsys.properties import (
+    _rate_fit,
     counterexample_mode,
     estimate_gradient_rate,
     estimate_gradient_rates,
@@ -195,6 +197,76 @@ def test_gradient_rates_batch_equals_single_estimates(setup):
     fits = estimate_gradient_rates(field, cases, p=2.0, dt=5e-4)
     for fit, (f, k, h, cap) in zip(fits, cases):
         assert fit == estimate_gradient_rate(field, f, p=2.0, k=k, h=h, dt=5e-4, ratio_cap=cap)
+
+
+def test_fixed_point_flags_can_fail(setup):
+    # a moving datum flagged as fixed, and a fixed one flagged as moving
+    field, grid, *_ = setup
+    sine = grid_function_from_callable(grid, lambda x: [np.sin(x[..., 0]), np.sin(x[..., 0])])
+    rep = verify_fixed_points(field, grid, [(sine, True)], dt=1e-3)
+    assert rep.status == "fail"
+    assert rep.details["fixed_residual"] > 1.0          # 1.185 against 1e-8
+    assert rep.witness is not None
+    two_xi = GridFunction(grid, 2.0 * xi_function(grid).values)
+    rep = verify_fixed_points(field, grid, [(two_xi, False)], dt=1e-3)
+    assert rep.status == "fail"
+    assert rep.details["moving_gap"] <= 1e-12           # 6.0e-15 against 0.1
+
+
+def test_gradient_rate_fails_against_a_smaller_exponent(setup):
+    # the step datum's (k, h) = (2, 0) fit passes its own report, and the
+    # same fit judged as (k, h) = (2, 2), where no blow-up is allowed, fails
+    field, *_ = setup
+    grid = build_grid(1, 4.0, 161, "neumann")
+    f_step = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0] / 0.1), 0.0])
+    fit = estimate_gradient_rate(field, f_step, p=2.0, k=2, h=0, dt=5e-4)
+    assert rate_report(fit, k=2, h=0, p=2.0).passed
+    rep = rate_report(fit, k=2, h=2, p=2.0)
+    assert rep.status == "fail"
+    assert rep.measured < rep.bound == -0.25            # slope -1.642
+
+
+def _rate_fit_by_loop(traj, traj_den, k, h, p, r_obs, den_floor):
+    """The per-time loop of the rate fit: one stored time, one component at a time."""
+    grid = traj.grid
+    window = grid.window_mask(r_obs)
+    values, excluded = [], 0
+    for t in traj.times[1:]:
+        total = np.zeros(grid.n_nodes)
+        for comp in traj.snapshot_at(t).values:
+            total += np.sum(fd_gradient(comp, grid) ** 2, axis=0) if k == 1 \
+                else fd_hessian_frobenius_sq(comp, grid)
+        num = (total ** (p / 2.0))[window]
+        den = traj_den.snapshot_at(t).values[0][window]
+        good = den > den_floor
+        excluded += int(np.sum(~good))
+        values.append(float(np.max(num[good] / den[good])))
+    return values, excluded
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rate_fit_equals_per_time_loop(d):
+    grid = build_grid(d, 3.0, 41 if d == 1 else 13)
+    times = 0.01 * np.arange(10.0)
+    rng = np.random.default_rng(11)
+    x = grid.nodes[:, 0]
+    num = np.array([[np.tanh(x / (0.2 + t)), np.exp(-x ** 2) * (1 + t)] for t in times])
+    num += 1e-3 * rng.standard_normal(num.shape)
+    den = 0.5 + rng.random((len(times), 1, grid.n_nodes))
+    window = np.flatnonzero(grid.window_mask(1.5))
+    den[3, 0, window[::3]] = 1e-20                      # planted below den_floor
+    den[7, 0, window[1]] = 0.0
+    run = dict(times=times, grid=grid, dt=0.01, theta=0.5, boundary_kind="neumann")
+    traj, traj_den = Trajectory(values=num, **run), Trajectory(values=den, **run)
+    for k, h, p in [(1, 0, 2.0), (2, 1, 2.0), (2, 0, 3.0)]:
+        fit = _rate_fit(traj, traj_den, k, h, p, 1.5, 50.0, 1e-14)
+        values, excluded = _rate_fit_by_loop(traj, traj_den, k, h, p, 1.5, 1e-14)
+        assert fit.values == values
+        assert fit.excluded_nodes == excluded == len(window[::3]) + 1
+        assert fit.times == times[1:].tolist()
+    den[5, 0, window] = 0.0                             # every node excluded at one time
+    with pytest.raises(ValueError, match="den_floor"):
+        _rate_fit(traj, Trajectory(values=den, **run), 1, 0, 2.0, 1.5, 50.0, 1e-14)
 
 
 def test_lp_bound_fixed_point_constant_norm(setup):
@@ -463,6 +535,7 @@ def _outcome(rep):
 def test_array_reductions_equal_per_snapshot_loops():
     traj, scal, mu, sys = _tie_setup()
     grid, snaps = traj.grid, traj.snapshots
+    sup0 = float(np.sqrt(np.sum(np.max(np.abs(snaps[0].values), axis=1) ** 2)))
 
     # the batched functionals equal their one-state values bit for bit
     totals = functional_Mf(traj, sys)
@@ -479,7 +552,7 @@ def test_array_reductions_equal_per_snapshot_loops():
         dom = mag ** 2.0 - sc.values[0]
         if np.max(dom) > worst:
             worst, wx, wt = float(np.max(dom)), tuple(grid.nodes[np.argmax(dom)]), float(t)
-        worst_sup = max(worst_sup, float(np.max(mag)) - snaps[0].sup_norm_vector())
+        worst_sup = max(worst_sup, float(np.max(mag)) - sup0)
     assert (wt, wx) == (0.1, (-1.0,))
     ref = ("pass" if max(worst, worst_sup) <= 1e-6 else "fail", max(worst, worst_sup), wx, wt)
     assert _outcome(verify_semigroup_bounds(traj, scal, p=2.0)) == ref
@@ -496,7 +569,7 @@ def test_array_reductions_equal_per_snapshot_loops():
 
     # invariance: the last time of the worst drift
     base = functional_Mf(snaps[0], sys)
-    denom = max(abs(base), sys.scale * snaps[0].sup_norm_vector())
+    denom = max(abs(base), sys.scale * sup0)
     worst = 0.0
     for t, s in zip(traj.times, snaps):
         total = functional_Mf(s, sys)
