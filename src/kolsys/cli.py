@@ -56,16 +56,19 @@ from kolsys.properties import (
     estimate_gradient_rates,
     jordan_asymptotics_check,
     rate_report,
+    verify_cesaro_identity,
     verify_fixed_points,
     verify_invariance,
     verify_l2_gradient_decay,
     verify_longtime,
     verify_lp_bound,
+    verify_nested_convergence,
     verify_positivity,
+    verify_scalar_invariance,
     verify_semigroup_bounds,
 )
-from kolsys.reports import CheckRecord, PropertyReport
-from kolsys.semigroup import SolveError, cesaro_average, discrete_average, evolve, solve_nested
+from kolsys.reports import CheckRecord
+from kolsys.semigroup import SolveError, evolve, solve_nested
 
 
 def fmt(x):
@@ -242,20 +245,6 @@ def cmd_measure(args):
     return 0
 
 
-def _orthogonal_constant(xi):
-    """A unit constant direction orthogonal to the kernel vector."""
-    m = len(xi)
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    eta = e1 - np.dot(e1, xi) * xi
-    return eta / np.linalg.norm(eta)
-
-
-def _constant_function(grid, vec):
-    return GridFunction(grid, np.repeat(np.asarray(vec, dtype=float)[:, None],
-                                        grid.n_nodes, axis=1))
-
-
 def _measure_pipeline(cfg, field, grid):
     spec = _sample_spec(cfg)
     xi = compute_common_kernel(field, spec)
@@ -275,8 +264,10 @@ def _suite_core(cfg, field):
     pts = rng.uniform(-grid.L, grid.L, size=(1000, grid.d))
     reports.append(spectral_check_C(field, pts))
 
-    xi_gf = _constant_function(grid, xi.xi)
-    eta_gf = _constant_function(grid, _orthogonal_constant(xi.xi))
+    # eta: the unit direction of e1 orthogonal to the kernel vector
+    eta = np.eye(field.dim_m)[0] - xi.xi[0] * xi.xi
+    xi_gf = grid_function_from_callable(grid, lambda _: list(xi.xi))
+    eta_gf = grid_function_from_callable(grid, lambda _: list(eta / np.linalg.norm(eta)))
     sine = grid_function_from_callable(
         grid, lambda x: [np.sin(x[..., 0])] * field.dim_m, m=field.dim_m)
     reports.append(verify_fixed_points(
@@ -309,17 +300,10 @@ def _suite_core(cfg, field):
     traj_v = evolve(op, f, t_final, dt=dt, theta=theta, store_times=check_times)
     reports.append(verify_invariance(traj_v, sys, inv_tol=inv_tol))
 
-    scal_tol = 1e-3
-    worst = 0.0
     scalars = [grid_function_from_callable(grid, DATA_BUILDERS[name], m=1)
                for name in ("tanh", "gauss")]
-    for traj_g in evolve(op_s, scalars, t_final, dt=dt, theta=theta, store_times=check_times):
-        masses = mu.integrate(traj_g.values[:, 0])
-        drift = np.max(np.abs(masses - masses[0]))
-        worst = max(worst, drift / max(np.max(np.abs(traj_g.values[0])), 1e-300))
-    reports.append(PropertyReport(
-        name="scalar_invariance", status="pass" if worst <= scal_tol else "fail",
-        measured=worst, bound=0.0, tolerance=scal_tol))
+    reports.append(verify_scalar_invariance(
+        evolve(op_s, scalars, t_final, dt=dt, theta=theta, store_times=check_times), mu))
 
     lp_tol = cfg.get("verify", "lp_tol")
     for p in (1.0, 2.0, 4.0):
@@ -364,8 +348,7 @@ def _suite_asymptotic(cfg, field):
     op = assemble_system_operator(field, grid)
     reports = []
 
-    e1 = np.zeros(field.dim_m)
-    e1[0] = 1.0
+    e1 = grid_function_from_callable(grid, lambda _: [1.0] + [0.0] * (field.dim_m - 1))
     bumps = [bump_function([0.0] * grid.d, 2.0), bump_function([0.5] * grid.d, 1.5)]
     fb = grid_function_from_callable(
         grid, lambda x: [bumps[k % len(bumps)](x) for k in range(field.dim_m)],
@@ -374,7 +357,7 @@ def _suite_asymptotic(cfg, field):
     # joins the block, and the nested ladder reuses it for its rung on this grid
     n = max(2, int(t_final))
     f = data_from_config(cfg, grid, field.dim_m)
-    data = [_constant_function(grid, e1), fb] + ([f] if float(n) == t_final else [])
+    data = [e1, fb] + ([f] if float(n) == t_final else [])
     traj, traj_b, *runs_f = evolve(op, data, t_final, dt=dt, theta=theta,
                                    store_every=store_every)
     traj_f = runs_f[0] if runs_f else evolve(op, f, float(n), dt=dt, theta=theta,
@@ -386,19 +369,7 @@ def _suite_asymptotic(cfg, field):
     bundle = derivative_bundle(field)
     mu0 = float(np.min(bundle.mu_q(spec.points(field.dim_d)[::4])))
     reports.append(verify_l2_gradient_decay(traj_b, mu, mu0=mu0))
-
-    # Cesaro consistency: at integer t the running average of the semigroup
-    # equals the discrete average of the unit-interval averages.
-    p_n = cesaro_average(traj_f)
-    traj_1 = evolve(op, f, 1.0, dt=dt, theta=theta,
-                    store_every=max(1, int(0.01 / dt)))
-    p_1 = cesaro_average(traj_1)
-    r_n = discrete_average(op, p_1, n, dt=dt, theta=theta)
-    window = grid.window_mask(r_obs)
-    gap = float(np.max(np.abs(p_n.values - r_n.values)[:, window]))
-    reports.append(PropertyReport(
-        name="cesaro_identity", status="pass" if gap <= 1e-3 else "fail",
-        measured=gap, bound=0.0, tolerance=1e-3, details={"n": n}))
+    reports.append(verify_cesaro_identity(op, traj_f, r_obs))
 
     if cfg.has_section("nest"):
         ladder = ladder_from_config(cfg)
@@ -406,19 +377,7 @@ def _suite_asymptotic(cfg, field):
         result = solve_nested(field, data_callable(cfg, field.dim_m), t_final,
                               ladder, nest_tol, cfg.get("nest", "R_obs"), dt=dt, theta=theta,
                               store_every=store_every, runs=runs_f)
-        # a ladder whose rungs all agree to tolerance is converged outright;
-        # ordering only matters while the discrepancies are above nest_tol
-        all_within = all(d <= nest_tol for d in result.discrepancies)
-        decreasing = all_within or all(
-            b < a for a, b in zip(result.discrepancies, result.discrepancies[1:]))
-        gap_ok = result.dirichlet_neumann_gap <= max(
-            2.0 * result.discrepancies[-1], nest_tol)
-        ok = result.converged and decreasing and gap_ok
-        reports.append(PropertyReport(
-            name="nested_convergence", status="pass" if ok else "fail",
-            measured=result.discrepancies[-1], bound=nest_tol, tolerance=nest_tol,
-            details={"discrepancies": result.discrepancies,
-                     "dirichlet_neumann_gap": result.dirichlet_neumann_gap}))
+        reports.append(verify_nested_convergence(result, nest_tol))
     return reports
 
 
@@ -429,14 +388,12 @@ def _suite_counterexample(cfg, field):
     m = field.dim_m
     family = family_from_config(cfg)
     reports = []
-    f = _constant_function(grid, np.full(m, 1.0 / np.sqrt(m)))
+    f = grid_function_from_callable(grid, lambda _: [1.0 / np.sqrt(m)] * m)
     for C0 in (np.eye(m), -np.eye(m)):
         cfield = make_builtin(replace(family, coupling_kind="constant_matrix", C0=C0))
         reports.append(counterexample_mode(cfield, f, t_final=min(t_final, 5.0),
                                            dt=dt, theta=theta, mu_hat=mu))
-    g = np.zeros(m)
-    g[0] = 1.0
-    reports.append(jordan_asymptotics_check(field.C(np.zeros(field.dim_d)), g,
+    reports.append(jordan_asymptotics_check(field.C(np.zeros(field.dim_d)), np.eye(m)[0],
                                             np.linspace(0.0, 8.0, 17)))
     return reports
 
@@ -482,20 +439,13 @@ def _sweep_row(cfg, family, ps):
     traj = evolve(op, f, t_final, dt=dt, theta=theta, store_every=store_every)
     inv = verify_invariance(traj, sys, inv_tol=cfg.get("verify", "inv_tol"))
     longtime = verify_longtime(traj, sys, r_obs=r_obs).details
-    errs, m_f = longtime["errors"], longtime["m_f"]
-    usable = errs > 1e-12
-    if np.sum(usable) >= 2:
-        slope, _ = np.polyfit(traj.times[usable], np.log(errs[usable]), 1)
-        decay = -float(slope)
-    else:
-        decay = float("inf")
 
     for row in rows:
         row.update({"invariance": inv.status,
                     "lp_bound": verify_lp_bound(traj, sys, row["p"],
                                                 lp_tol=cfg.get("verify", "lp_tol")).status,
-                    "longtime_err": fmt(errs[-1]), "decay_rate": fmt(decay),
-                    "m_f": fmt(m_f)})
+                    "longtime_err": fmt(longtime["errors"][-1]),
+                    "decay_rate": fmt(longtime["decay_rate"]), "m_f": fmt(longtime["m_f"])})
     return rows
 
 

@@ -9,7 +9,7 @@ exhausting family of balls; d <= 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,9 +100,6 @@ class GridFunction:
     def m(self):
         return self.values.shape[0]
 
-    def component(self, i):
-        return self.values[i]
-
     def copy(self):
         return GridFunction(self.grid, self.values.copy())
 
@@ -133,7 +130,6 @@ class DiscreteOperator:
     m: int
     boundary_kind: str
     dof_indices: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def n_dof(self):
@@ -233,8 +229,7 @@ def assemble_adjoint_operator(field, grid) -> DiscreteOperator:
         build_grid(grid.d, grid.L, grid.n_per_axis, "dirichlet")
     dof, mat, _ = _assemble(field, dgrid)
     return DiscreteOperator(matrix=mat.T.tocsr(), grid=grid, m=1,
-                            boundary_kind="dirichlet", dof_indices=dof,
-                            meta={"adjoint": True})
+                            boundary_kind="dirichlet", dof_indices=dof)
 
 
 def fd_gradient(values, grid):

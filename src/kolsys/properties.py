@@ -27,15 +27,18 @@ from kolsys.invariant_measure import (
     solve_scalar_invariant_density,
 )
 from kolsys.reports import PropertyReport, RateFit, Witness
-from kolsys.semigroup import Trajectory, _check_same_times, evolve
+from kolsys.semigroup import Trajectory, _check_same_times, cesaro_average, discrete_average, evolve
 
 DOM_TOL = 1e-6
+SCALAR_INV_TOL = 1e-3
+CESARO_TOL = 1e-3
 SUP_TOL = 1e-6
 POS_TOL_IMPLICIT = 1e-8
 POS_TOL_CRANK = 1e-4
 INV_TOL = 1e-2
 LONGTIME_TOL = 1e-2
 SLOPE_MARGIN = 0.25
+NO_FIT = {"reason": "fewer than two usable stored times in the rate window"}
 
 
 def _vector_magnitude(values):
@@ -46,6 +49,14 @@ def _vector_magnitude(values):
 def _sup_norms(values):
     """Vector sup norm sqrt(sum_k sup_x |u_k|^2) of (..., m, N) values."""
     return np.sqrt(np.sum(np.max(np.abs(values), axis=-1) ** 2, axis=-1))
+
+
+def _decay_rate(times, values, usable):
+    """Minus the slope of the line fit to (t, log v) at the usable points; inf below two."""
+    if np.sum(usable) < 2:
+        return np.inf
+    slope, _ = np.polyfit(times[usable], np.log(values[usable]), 1)
+    return -float(slope)
 
 
 def verify_semigroup_bounds(traj_vec: Trajectory, traj_scalar_abs_p: Trajectory,
@@ -123,6 +134,19 @@ def verify_invariance(traj_vec: Trajectory, sys: MeasureSystem,
                           status="pass" if worst <= inv_tol else "fail",
                           measured=worst, bound=0.0, tolerance=inv_tol,
                           witness=witness, details={"baseline": baseline})
+
+
+def verify_scalar_invariance(runs, mu: MeasureDensity) -> PropertyReport:
+    """Worst drift of int T(t)g dmu over scalar runs, relative to sup |g|."""
+    worst = 0.0
+    for traj in runs:
+        _check_same_nodes(traj, mu)
+        masses = mu.integrate(traj.values[:, 0])
+        drift = np.max(np.abs(masses - masses[0]))
+        worst = max(worst, drift / max(np.max(np.abs(traj.values[0])), 1e-300))
+    return PropertyReport(name="scalar_invariance",
+                          status="pass" if worst <= SCALAR_INV_TOL else "fail",
+                          measured=worst, bound=0.0, tolerance=SCALAR_INV_TOL)
 
 
 def verify_fixed_points(field: CoefficientField, grid, candidates, dt=1e-3,
@@ -304,6 +328,7 @@ def verify_longtime(traj_vec: Trajectory, sys: MeasureSystem, r_obs=3.0,
     The limit value is computed two independent ways: the measure-system
     quadrature M_f and the plateau of <T(t)f, xi>; they must agree within
     `plateau_tol`.  The L^2_mu distance at the final time is checked as well.
+    `details["decay_rate"]` fits the error curve above 1e-12 (informational).
     """
     grid = traj_vec.grid
     window = grid.window_mask(r_obs)
@@ -335,7 +360,43 @@ def verify_longtime(traj_vec: Trajectory, sys: MeasureSystem, r_obs=3.0,
                                           t=float(traj_vec.times[-1])),
                           details={"monotone_after": monotone,
                                    "plateau_gap": plateau_gap,
-                                   "l2_distance": l2_dist, "m_f": m_f, "errors": errs})
+                                   "l2_distance": l2_dist, "m_f": m_f, "errors": errs,
+                                   "decay_rate": _decay_rate(traj_vec.times, errs, errs > 1e-12)})
+
+
+def verify_cesaro_identity(op, traj: Trajectory, r_obs=3.0) -> PropertyReport:
+    """P_n f = R_n(P_1 f) on the window, for `traj` the run of f by `op` to t = n.
+
+    P_1 f averages a run of f to t = 1 stored every 0.01, with the run's dt
+    and theta.  The identity holds only for the semigroup that made `traj`.
+    """
+    t_end = float(traj.times[-1])
+    n = int(round(t_end))
+    if n < 2 or abs(t_end - n) > 1e-9:
+        raise ValueError(f"the Cesaro identity needs a run to an integer n >= 2, not {t_end:g}")
+    dt, theta = traj.dt, traj.theta
+    traj_1 = evolve(op, traj.snapshots[0], 1.0, dt=dt, theta=theta,
+                    store_every=max(1, int(0.01 / dt)))
+    r_n = discrete_average(op, cesaro_average(traj_1), n, dt=dt, theta=theta)
+    window = traj.grid.window_mask(r_obs)
+    gap = float(np.max(np.abs(cesaro_average(traj).values - r_n.values)[:, window]))
+    return PropertyReport(name="cesaro_identity",
+                          status="pass" if gap <= CESARO_TOL else "fail",
+                          measured=gap, bound=0.0, tolerance=CESARO_TOL, details={"n": n})
+
+
+def verify_nested_convergence(result, nest_tol) -> PropertyReport:
+    """A solve_nested ladder converges: its last discrepancy is within nest_tol,
+    the discrepancies decrease strictly unless all are within it, and the
+    Dirichlet-Neumann gap is at most max(2 x the last, nest_tol)."""
+    disc = result.discrepancies
+    decreasing = all(d <= nest_tol for d in disc) or all(b < a for a, b in zip(disc, disc[1:]))
+    gap_ok = result.dirichlet_neumann_gap <= max(2.0 * disc[-1], nest_tol)
+    ok = disc[-1] <= nest_tol and decreasing and gap_ok
+    return PropertyReport(name="nested_convergence", status="pass" if ok else "fail",
+                          measured=disc[-1], bound=nest_tol, tolerance=nest_tol,
+                          details={"discrepancies": disc,
+                                   "dirichlet_neumann_gap": result.dirichlet_neumann_gap})
 
 
 def verify_l2_gradient_decay(traj_vec: Trajectory, mu: MeasureDensity, mu0,
@@ -407,9 +468,10 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
     tol = 1e-12 * max(1.0, np.linalg.norm(C0))
     if sym_max < -tol:
         sup = _sup_norms(traj.values)
-        usable = sup > 1e-300
-        sigma, _ = np.polyfit(times[usable & sel], np.log(sup[usable & sel]), 1)
-        sigma = -sigma
+        sigma = _decay_rate(times, sup, (sup > 1e-300) & sel)
+        if np.isinf(sigma):
+            return PropertyReport("counterexample_decay", "fail", np.nan, 0.0, 0.1,
+                                  details={"mode": "decay", **NO_FIT})
         envelope_ok = bool(np.all(sup <= np.exp(-sigma * times) * sup[0] * 1.1))
         ok = sigma > 0 and envelope_ok
         return PropertyReport(name="counterexample_decay",
@@ -427,8 +489,10 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
             weights = null[:, 0] if null[0, 0] > 0 else -null[:, 0]
     mass = np.sum(weights * mu_hat.integrate(traj.values), axis=-1)
     if growth:
-        usable = mass > 0
-        lam, _ = np.polyfit(times[usable & sel], np.log(mass[usable & sel]), 1)
+        lam = -_decay_rate(times, mass, (mass > 0) & sel)
+        if np.isinf(lam):
+            return PropertyReport("counterexample_growth", "fail", np.nan, 0.0, 0.0,
+                                  details={"mode": "growth", **NO_FIT})
         factor = mass[-1] / mass[0]
         ok = lam > 0 and factor >= np.exp(lam * (times[-1] - times[0])) / 2.0
         return PropertyReport(name="counterexample_growth",
@@ -473,12 +537,7 @@ def jordan_asymptotics_check(C0, g, t_grid, rate_slack=0.05,
     ts = np.asarray(t_grid, dtype=float)
     dists = np.array([float(np.linalg.norm(scipy.linalg.expm(t * C0) @ g - proj))
                       for t in ts])
-    usable = dists > 1e-13 * max(1.0, np.linalg.norm(g))
-    if np.sum(usable) >= 2 and np.any(dists[usable] > 0):
-        slope, _ = np.polyfit(ts[usable], np.log(dists[usable]), 1)
-        rate = -float(slope)
-    else:
-        rate = np.inf
+    rate = _decay_rate(ts, dists, dists > 1e-13 * max(1.0, np.linalg.norm(g)))
     ok = rate >= gap - rate_slack
     return PropertyReport(name="jordan_asymptotics",
                           status="pass" if ok else "fail",

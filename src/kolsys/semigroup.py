@@ -13,7 +13,7 @@ residual on its own, and equals, bit for bit, the run of that datum alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,11 +80,9 @@ class Trajectory:
 @dataclass
 class NestedSolveResult:
     trajectory: Trajectory
-    ladder: list
     discrepancies: list
     converged: bool
     dirichlet_neumann_gap: float | None = None
-    meta: dict = dc_field(default_factory=dict)
 
 
 class ThetaStepper:
@@ -414,7 +412,5 @@ def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0
     traj_o = evolve(op_o, f_o, t_final, dt=dt, theta=theta, store_every=store_every)
     gap = _window_discrepancy(trajectories[-1], traj_o, r_obs)
 
-    return NestedSolveResult(trajectory=trajectories[-1], ladder=list(ladder),
-                             discrepancies=discrepancies, converged=converged,
-                             dirichlet_neumann_gap=gap,
-                             meta={"boundary_kind": boundary_kind})
+    return NestedSolveResult(trajectory=trajectories[-1], discrepancies=discrepancies,
+                             converged=converged, dirichlet_neumann_gap=gap)

@@ -21,6 +21,7 @@ from kolsys.invariant_measure import (
     solve_scalar_invariant_density,
 )
 from kolsys.properties import (
+    _decay_rate,
     _rate_fit,
     counterexample_mode,
     estimate_gradient_rate,
@@ -33,9 +34,12 @@ from kolsys.properties import (
     verify_longtime,
     verify_lp_bound,
     verify_positivity,
+    verify_cesaro_identity,
+    verify_nested_convergence,
+    verify_scalar_invariance,
     verify_semigroup_bounds,
 )
-from kolsys.semigroup import Trajectory, evolve
+from kolsys.semigroup import NestedSolveResult, Trajectory, evolve, solve_nested
 
 XI = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
@@ -302,6 +306,12 @@ def test_longtime_constant_e1(setup):
     # limit is (1/2, 1/2): check directly
     final = traj.snapshots[-1].values
     assert np.max(np.abs(final - 0.5)) <= 1e-2
+    # the rate is the log-linear fit of the error curve above 1e-12, which
+    # here drops its last two points
+    errs = rep.details["errors"]
+    usable = errs > 1e-12
+    slope, _ = np.polyfit(traj.times[usable], np.log(errs[usable]), 1)
+    assert np.sum(~usable) == 2 and rep.details["decay_rate"] == -slope
 
 
 def test_longtime_tanh_gauss_plateau_matches_quadrature(setup):
@@ -358,6 +368,30 @@ def test_counterexample_decay(setup):
     rep = counterexample_mode(field, f, t_final=3.0, dt=1e-3, mu_hat=mu)
     assert rep.passed
     assert rep.measured == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("C0, name", [(np.eye(2), "counterexample_growth"),
+                                      (-np.eye(2), "counterexample_decay")])
+@pytest.mark.parametrize("window", [(0.5, 0.5), (2.0, 3.0)])
+def test_counterexample_rate_needs_two_points_in_its_window(C0, name, window):
+    # (0.5, 0.5) holds one stored time and (2, 3) none: no rate can be fit
+    grid = build_grid(1, 6.0, 61, "neumann")
+    f = grid_function_from_callable(grid, lambda _: [1 / np.sqrt(2)] * 2)
+    rep = counterexample_mode(constant_c_field(C0), f, t_final=1.0, dt=1e-2,
+                              rate_window=window)
+    assert rep.name == name and rep.status == "fail" and np.isnan(rep.measured)
+    assert rep.details["reason"] == "fewer than two usable stored times in the rate window"
+    assert counterexample_mode(constant_c_field(C0), f, t_final=1.0, dt=1e-2,
+                               rate_window=(0.5, 1.0)).passed
+
+
+def test_decay_rate_fits_usable_points_only():
+    t = np.linspace(0.0, 2.0, 5)
+    v = 3.0 * np.exp(-2.0 * t)
+    assert _decay_rate(t, v, v > 0) == pytest.approx(2.0, rel=1e-12)
+    assert _decay_rate(t, v, t > 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert _decay_rate(t, v, t > 1.5) == np.inf
+    assert _decay_rate(t, v, t > 2.0) == np.inf
 
 
 def test_counterexample_neutral_direction(setup):
@@ -449,6 +483,71 @@ def test_decoupled_run_fails_longtime_convergence(setup):
     assert reports[0].status == "fail"
     assert reports[0].measured == pytest.approx(0.497, abs=1e-3)
     assert reports[1].passed and reports[1].measured <= 1e-6
+
+
+def test_uniform_density_fails_scalar_invariance(setup):
+    # the scalar runs conserve their mass against mu, not against the uniform law
+    field, grid, _, op_s, _, mu, _ = setup
+    w = grid.quadrature_weights()
+    uniform = MeasureDensity(grid=grid, rho=np.full(grid.n_nodes, 1.0 / np.sum(w)),
+                             weights=w, norm_residual=0.0)
+    scalars = [grid_function_from_callable(grid, fn, m=1)
+               for fn in (lambda x: np.tanh(x[..., 0]), lambda x: np.exp(-x[..., 0] ** 2))]
+    runs = evolve(op_s, scalars, 2.0, dt=1e-2, store_times=[0.1, 1.0, 2.0])
+    rep = verify_scalar_invariance(runs, mu)
+    assert rep.passed and rep.measured <= 1e-12
+    rep = verify_scalar_invariance(runs, uniform)
+    assert rep.status == "fail"
+    assert rep.measured == pytest.approx(0.555, abs=1e-3)
+
+
+def test_cesaro_identity_fails_for_another_semigroup(setup):
+    # P_n f = R_n(P_1 f) holds for the semigroup that made the run: averaged
+    # with the decoupled operator instead, the two sides differ by O(1)
+    _, grid, op, *_ = setup
+    traj = evolve(op, tanh_gauss(grid), 4.0, dt=2e-3)
+    rep = verify_cesaro_identity(op, traj, r_obs=3.0)
+    assert rep.passed and rep.details["n"] == 4
+    decoupled = assemble_system_operator(constant_c_field(np.zeros((2, 2))), grid)
+    rep = verify_cesaro_identity(decoupled, traj, r_obs=3.0)
+    assert rep.status == "fail"
+    assert rep.measured == pytest.approx(0.305, abs=1e-3)
+
+
+def test_cesaro_identity_needs_an_integer_end_time_of_two_or_more(setup):
+    _, grid, op, *_ = setup
+    for t_end in (1.0, 2.5):
+        traj = evolve(op, tanh_gauss(grid), t_end, dt=0.1)
+        with pytest.raises(ValueError, match="integer n >= 2"):
+            verify_cesaro_identity(op, traj)
+
+
+def test_short_ladder_with_weak_drift_fails_nested_convergence():
+    # b = -x/2 confines weakly: the 3:61 and 4:81 boxes still disagree by
+    # 3e-2 on the window at t = 2, where the quartic drift agrees to round-off
+    def run(beta, b0):
+        field = make_builtin(BuiltinFamily(dim_d=1, dim_m=2, gamma=0.0, beta=beta,
+                                           b0=b0, Q0=np.eye(1)))
+        result = solve_nested(field, lambda x: [np.tanh(x[..., 0]), np.exp(-x[..., 0] ** 2)],
+                              2.0, [(3.0, 61), (4.0, 81)], 1e-4, 2.0, dt=1e-2)
+        return verify_nested_convergence(result, 1e-4)
+    weak, quartic = run(0.0, 0.5), run(1.0, 1.0)
+    assert weak.status == "fail"
+    assert weak.measured == pytest.approx(3.17e-2, abs=1e-4)
+    assert quartic.passed and quartic.measured <= 1e-12
+
+
+@pytest.mark.parametrize("discrepancies, gap, passed", [
+    ([5e-5, 8e-5], 1e-4, True),            # all within nest_tol: order is not asked
+    ([2e-2, 5e-5, 8e-5], 1e-6, False),     # above it once, then not decreasing
+    ([2e-2, 5e-4, 1e-5], 8e-5, True),      # decreasing, 2 x last < gap <= nest_tol
+    ([2e-2, 5e-4, 5e-5], 2e-4, False),     # gap above both
+    ([2e-2, 5e-4, 2e-4], 1e-5, False),     # last discrepancy above nest_tol
+])
+def test_nested_convergence_rule(discrepancies, gap, passed):
+    result = NestedSolveResult(trajectory=None, discrepancies=discrepancies,
+                               converged=discrepancies[-1] <= 1e-4, dirichlet_neumann_gap=gap)
+    assert verify_nested_convergence(result, 1e-4).passed == passed
 
 
 def test_l2_decay_and_counterexample_reject_density_on_other_nodes(setup):
