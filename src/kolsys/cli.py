@@ -214,8 +214,9 @@ def cmd_simulate(args):
         for k, disc in enumerate(result.discrepancies, start=1):
             print(f"rung {k} discrepancy = {fmt(disc)}")
         print(f"dirichlet_neumann_gap = {fmt(result.dirichlet_neumann_gap)}")
-        print(f"converged = {result.converged}")
-        return 0 if result.converged else 1
+        converged = verify_nested_convergence(result, nest_tol).passed
+        print(f"converged = {converged}")
+        return 0 if converged else 1
     grid = grid_from_config(cfg)
     op = assemble_system_operator(field, grid)
     f = data_from_config(cfg, grid, field.dim_m)

@@ -27,9 +27,8 @@ class CoefficientField:
     broadcasts over leading axes: points of shape (..., d) map to (..., d, d),
     (..., d) and (..., m, m), and a single point of shape (d,) still maps to
     one matrix.  Callables that take one point at a time are wrapped with
-    `from_pointwise`.  Derivative evaluators are present up to
-    `smoothness_order`.  Instances are immutable and safe to share across
-    workers.
+    `from_pointwise`.  A derivative evaluator is None when the field does not
+    supply it.  Instances are immutable and safe to share across workers.
     """
 
     dim_d: int
@@ -37,7 +36,6 @@ class CoefficientField:
     Q: Callable
     b: Callable
     C: Callable
-    smoothness_order: int = 1
     # first derivatives: dQ[k,i,j] = D_k q_ij, jac_b[i,j] = D_j b_i, dC[k,h,l] = D_k c_hl
     dQ: Callable | None = None
     jac_b: Callable | None = None
@@ -51,9 +49,9 @@ class CoefficientField:
     def from_pointwise(cls, dim_d, dim_m, Q, b, C):
         """Field from callables that each take one point of shape (d,)."""
         def batched(fn, shape, core):
-            one = np.vectorize(lambda x: np.reshape(np.asarray(fn(x), dtype=float), shape),
-                               signature=f"(d)->{core}", otypes=[float])
-            return lambda x: one(_as_point(x, dim_d))
+            return _checked(np.vectorize(
+                lambda x: np.reshape(np.asarray(fn(x), dtype=float), shape),
+                signature=f"(d)->{core}", otypes=[float]), dim_d)
         return cls(dim_d=dim_d, dim_m=dim_m, Q=batched(Q, (dim_d, dim_d), "(d,d)"),
                    b=batched(b, (dim_d,), "(d)"), C=batched(C, (dim_m, dim_m), "(m,m)"))
 
@@ -83,6 +81,11 @@ def _as_point(x, d):
     if bad.any():
         raise ValueError(f"non-finite evaluation point {tuple(x[bad][0].tolist())}")
     return x
+
+
+def _checked(fn, d):
+    """fn taking points of shape (..., d) that `_as_point` has checked."""
+    return lambda x: fn(_as_point(x, d))
 
 
 _pow = np.frompyfunc(pow, 2, 1)
@@ -116,6 +119,11 @@ def _coupling_scalar(x):
     d2c = (-2.0 * np.eye(x.shape[-1]) * cm * cm
            + 8.0 * _outer(x) * libm_pow(c, 3)[..., None, None])
     return c, dc, d2c
+
+
+def _flat_profile(x):
+    """The constant profile 1 and its zero derivatives: constant coupling C0."""
+    return np.ones(x.shape[:-1]), np.zeros(x.shape), np.zeros(x.shape + x.shape[-1:])
 
 
 _EXCHANGE2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -157,11 +165,15 @@ def make_builtin(family: BuiltinFamily) -> CoefficientField:
     if family.coupling_kind == "constant_matrix":
         if family.C0 is None:
             raise ValueError("constant_matrix coupling requires C0")
-        C0 = np.asarray(family.C0, dtype=float)
-        if C0.shape != (m, m):
-            raise ValueError(f"C0 must be {m}x{m}, got {C0.shape}")
+        pattern, profile = np.asarray(family.C0, dtype=float), _flat_profile
+        if pattern.shape != (m, m):
+            raise ValueError(f"C0 must be {m}x{m}, got {pattern.shape}")
     else:
-        C0 = None
+        # exchange2, or zeta3 with zeta_i(x) = i / (1 + |x|^2), a concrete
+        # smooth positive choice
+        pattern = _EXCHANGE2 if family.coupling_kind == "exchange2" \
+            else _zeta3_matrix(1.0, 2.0, 3.0)
+        profile = _coupling_scalar
 
     gamma, beta, b0 = float(family.gamma), float(family.beta), float(family.b0)
     eye = np.eye(d)
@@ -171,27 +183,22 @@ def make_builtin(family: BuiltinFamily) -> CoefficientField:
         return libm_pow(1.0 + rowdot(x, x), p)[..., None]
 
     def Q(x):
-        x = _as_point(x, d)
         return phi_pow(x, gamma)[..., None] * Q0
 
     def dQ(x):
-        x = _as_point(x, d)
         fac = 2.0 * gamma * phi_pow(x, gamma - 1.0)
         return (fac * x)[..., None, None] * Q0
 
     def d2Q(x):
-        x = _as_point(x, d)
         fac1 = 2.0 * gamma * phi_pow(x, gamma - 1.0)[..., None]
         fac2 = 4.0 * gamma * (gamma - 1.0) * phi_pow(x, gamma - 2.0)[..., None]
         core = fac1 * eye + fac2 * _outer(x)
         return core[..., None, None] * Q0
 
     def b(x):
-        x = _as_point(x, d)
         return -b0 * x * phi_pow(x, beta)
 
     def jac_b(x):
-        x = _as_point(x, d)
         p = phi_pow(x, beta)[..., None]
         pm1 = phi_pow(x, beta - 1.0)[..., None]
         return -b0 * (p * eye + 2.0 * beta * pm1 * _outer(x))
@@ -199,7 +206,6 @@ def make_builtin(family: BuiltinFamily) -> CoefficientField:
     def d2b(x):
         # out[..., k, l, i] = -b0 (2 beta phi^(beta-1) sym_kli
         #                          + 4 beta (beta-1) phi^(beta-2) x_i x_k x_l)
-        x = _as_point(x, d)
         pm1 = phi_pow(x, beta - 1.0)[..., None, None]
         pm2 = phi_pow(x, beta - 2.0)[..., None, None]
         xk, xl, xi = x[..., :, None, None], x[..., None, :, None], x[..., None, None, :]
@@ -207,42 +213,19 @@ def make_builtin(family: BuiltinFamily) -> CoefficientField:
         return -b0 * (2.0 * beta * pm1 * sym
                       + 4.0 * beta * (beta - 1.0) * pm2 * xi * xk * xl)
 
-    if family.coupling_kind == "constant_matrix":
-        def C(x):
-            x = _as_point(x, d)
-            return np.broadcast_to(C0, x.shape[:-1] + (m, m)).copy()
+    def C(x):
+        return profile(x)[0][..., None, None] * pattern
 
-        def dC(x):
-            x = _as_point(x, d)
-            return np.zeros(x.shape[:-1] + (d, m, m))
+    def dC(x):
+        return profile(x)[1][..., None, None] * pattern
 
-        def d2C(x):
-            x = _as_point(x, d)
-            return np.zeros(x.shape[:-1] + (d, d, m, m))
+    def d2C(x):
+        return profile(x)[2][..., None, None] * pattern
 
-    else:
-        # exchange2, or zeta3 with zeta_i(x) = i / (1 + |x|^2), a concrete
-        # smooth positive choice
-        pattern = _EXCHANGE2 if family.coupling_kind == "exchange2" \
-            else _zeta3_matrix(1.0, 2.0, 3.0)
-
-        def C(x):
-            x = _as_point(x, d)
-            c, _, _ = _coupling_scalar(x)
-            return c[..., None, None] * pattern
-
-        def dC(x):
-            x = _as_point(x, d)
-            _, dc, _ = _coupling_scalar(x)
-            return dc[..., None, None] * pattern
-
-        def d2C(x):
-            x = _as_point(x, d)
-            _, _, d2c = _coupling_scalar(x)
-            return d2c[..., None, None] * pattern
-
-    return CoefficientField(dim_d=d, dim_m=m, Q=Q, b=b, C=C, smoothness_order=2,
-                            dQ=dQ, jac_b=jac_b, dC=dC, d2Q=d2Q, d2b=d2b, d2C=d2C)
+    evaluators = {"Q": Q, "b": b, "C": C, "dQ": dQ, "jac_b": jac_b, "dC": dC,
+                  "d2Q": d2Q, "d2b": d2b, "d2C": d2C}
+    return CoefficientField(dim_d=d, dim_m=m,
+                            **{name: _checked(fn, d) for name, fn in evaluators.items()})
 
 
 def evaluate(field: CoefficientField, x):
@@ -292,27 +275,16 @@ class DerivativeBundle:
     """
 
     def __init__(self, field: CoefficientField):
-        if field.jac_b is None or field.dQ is None or field.dC is None:
-            raise ValueError("field supplies no analytic first derivatives")
         self.field = field
-        self.jac_b = field.jac_b
-        self.dQ = field.dQ
-        self.dC = field.dC
-        self.d2Q = field.d2Q
-        self.d2b = field.d2b
-        self.d2C = field.d2C
 
-    @property
-    def has_second_order(self):
-        return (self.field.smoothness_order >= 2 and self.d2Q is not None
-                and self.d2b is not None and self.d2C is not None)
-
-    def _require_second(self):
-        if not self.has_second_order:
-            raise ValueError("field smoothness_order < 2: second derivatives unavailable")
+    def _derivative(self, name, x):
+        fn = getattr(self.field, name)
+        if fn is None:
+            raise ValueError(f"field supplies no {name}")
+        return fn(x)
 
     def r(self, x):
-        jb = self.jac_b(x)
+        jb = self._derivative("jac_b", x)
         sym = 0.5 * (jb + np.swapaxes(jb, -1, -2))
         return _float_or_array(np.max(np.linalg.eigvalsh(sym), axis=-1))
 
@@ -320,10 +292,10 @@ class DerivativeBundle:
         return _float_or_array(np.min(np.linalg.eigvalsh(self.field.Q(x)), axis=-1))
 
     def q1(self, x):
-        return _float_or_array(np.sqrt(_sum_sq(self.dQ(x), 3)))
+        return _float_or_array(np.sqrt(_sum_sq(self._derivative("dQ", x), 3)))
 
     def c1(self, x):
-        return _float_or_array(np.sqrt(_sum_sq(self.dC(x), 3)))
+        return _float_or_array(np.sqrt(_sum_sq(self._derivative("dC", x), 3)))
 
     def _mixed_pairs(self, d2):
         # sum over multi-indices |alpha| = 2: mixed pairs counted once
@@ -335,17 +307,14 @@ class DerivativeBundle:
         return _float_or_array(np.sqrt(total))
 
     def q2(self, x):
-        self._require_second()
-        return self._mixed_pairs(self.d2Q(x))
+        return self._mixed_pairs(self._derivative("d2Q", x))
 
     def c2(self, x):
-        self._require_second()
-        return self._mixed_pairs(self.d2C(x))
+        return self._mixed_pairs(self._derivative("d2C", x))
 
     def b2(self, x):
         # ordered index pairs, matching sum_{i,j} |D_ij b|^2
-        self._require_second()
-        return _float_or_array(np.sqrt(_sum_sq(self.d2b(x), 3)))
+        return _float_or_array(np.sqrt(_sum_sq(self._derivative("d2b", x), 3)))
 
 
 def derivative_bundle(field: CoefficientField) -> DerivativeBundle:

@@ -330,8 +330,6 @@ def estimate_kp(field: CoefficientField, p, sample_spec=None, constants=None) ->
         missing = [k for k in needed if k not in constants]
         if missing:
             raise ValueError(f"missing constants for the second-order expressions: {missing}")
-        if not bundle.has_second_order:
-            raise ValueError("second derivatives unavailable for K_1p / K_2p")
 
     sups, ratios = {}, {}
     if not second_order:

@@ -71,10 +71,7 @@ class MeasureSystem:
         of each stored state of a Trajectory as an array over its times."""
         _check_same_nodes(f, self.mu)
         totals = self._total(np.abs(f.values) ** p)
-        # the root value by value, as of one float: numpy's vectorized pow
-        # rounds some values differently
-        roots = np.array([t ** (1.0 / p) for t in np.ravel(totals)])
-        return _float_or_array(roots.reshape(np.shape(totals)))
+        return _float_or_array(libm_pow(totals, 1.0 / p))
 
 
 def _check_same_nodes(f, mu: MeasureDensity):

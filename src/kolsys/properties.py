@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from kolsys.coefficients import CoefficientField
+from kolsys.coefficients import CoefficientField, evaluate
 from kolsys.discretization import (
     GridFunction,
     assemble_scalar_operator,
@@ -444,11 +444,10 @@ def counterexample_mode(field: CoefficientField, f: GridFunction, t_final,
     exponentially; along a kernel direction the mass stays constant.
     """
     grid = f.grid
-    probes = [np.zeros(grid.d), np.full(grid.d, 0.7), np.full(grid.d, -1.3)]
-    C0 = field.C(probes[0])
-    for x in probes[1:]:
-        if not np.allclose(field.C(x), C0, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(C0))):
-            raise ValueError("counterexample mode requires a constant coupling matrix")
+    probes = np.array([np.zeros(grid.d), np.full(grid.d, 0.7), np.full(grid.d, -1.3)])
+    C0, *others = evaluate(field, probes)[2]
+    if not np.allclose(others, C0, rtol=0, atol=1e-12 * max(1.0, np.linalg.norm(C0))):
+        raise ValueError("counterexample mode requires a constant coupling matrix")
     sym_max = float(np.max(np.linalg.eigvalsh(0.5 * (C0 + C0.T))))
     if mu_hat is not None:
         _check_same_nodes(f, mu_hat)

@@ -88,7 +88,7 @@ def test_drift_jacobian_and_r():
     field = make_builtin(family_1d())
     bundle = derivative_bundle(field)
     for x in [0.0, 0.5, -2.0]:
-        assert bundle.jac_b([x])[0, 0] == pytest.approx(-1 - 3 * x * x, rel=1e-13)
+        assert field.jac_b([x])[0, 0] == pytest.approx(-1 - 3 * x * x, rel=1e-13)
     assert bundle.r([0.0]) == pytest.approx(-1.0)
 
 
@@ -103,6 +103,16 @@ def test_c1_at_origin_vanishes():
     bundle = derivative_bundle(make_builtin(family_1d()))
     assert bundle.c1([0.0]) == pytest.approx(0.0, abs=1e-14)
     assert bundle.c1([1.0]) > 0
+
+
+def test_bundle_names_the_derivative_a_field_lacks():
+    field = make_builtin(family_1d())
+    bundle = derivative_bundle(CoefficientField.from_pointwise(1, 2, field.Q, field.b, field.C))
+    assert bundle.mu_q([0.5]) == 1.0
+    for value, missing in (("r", "jac_b"), ("q1", "dQ"), ("c1", "dC"),
+                           ("q2", "d2Q"), ("c2", "d2C"), ("b2", "d2b")):
+        with pytest.raises(ValueError, match=f"field supplies no {missing}$"):
+            getattr(bundle, value)([0.5])
 
 
 def finite_difference_jacobian(fn, x, h=1e-4):

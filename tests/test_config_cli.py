@@ -240,6 +240,23 @@ def test_simulate_nested(tmp_path):
     assert out.exists()
 
 
+def test_simulate_nested_exit_code_follows_the_nested_convergence_check(tmp_path, capsys):
+    # b = -0.2 x: the last rung is within nest_tol (7.0e-3 <= 1e-2), but the
+    # Dirichlet-Neumann gap 3.8e-2 exceeds max(2 x 7.0e-3, 1e-2)
+    path = tmp_path / "nested.cfg"
+    path.write_text(FAST_CFG.replace("beta = 1.0\nb0 = 1.0", "beta = 0.0\nb0 = 0.2")
+                    .replace("dt = 2e-3", "dt = 1e-2")
+                    .replace("[verify]", "[nest]\nladder = 3:61, 4:81, 5:101\n"
+                             "nest_tol = 1e-2\nR_obs = 2.0\n\n[verify]"))
+    code = run(["simulate", "--config", str(path), "--out", str(tmp_path / "traj.csv"),
+                "--nested"])
+    printed = capsys.readouterr().out
+    assert "rung 2 discrepancy = 0.00701775" in printed
+    assert "dirichlet_neumann_gap = 0.0383653" in printed
+    assert "converged = False" in printed
+    assert code == 1
+
+
 def test_measure_oracle_columns(fast_cfg, tmp_path):
     out = tmp_path / "density.csv"
     code = run(["measure", "--config", str(fast_cfg), "--out", str(out), "--oracle"])

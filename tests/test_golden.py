@@ -115,24 +115,44 @@ cap = 8
 workers = 2
 """
 
+# the counterexample suite swaps in constant couplings C0 = +I and -I; the
+# zeta3 check reads its coupling derivative.  Both were pinned before the
+# builtin coefficient family was rewritten, with no source file edited.
+COUNTEREXAMPLE_CFG = D1_CFG.replace("t_final = 3.0", "t_final = 2.0")
+
+ZETA3_CFG = """\
+[problem]
+d = 2
+m = 3
+gamma = 0.5
+beta = 0.5
+b0 = 1.0
+q0 = 2.0, 0.5, 0.5, 1.0
+coupling_kind = zeta3
+
+[grid]
+L = 4.0
+n_per_axis = 21
+boundary = neumann
+"""
+
+# id -> (argv, config, exit code, SHA-256 of the output)
 GOLDEN = {
-    ("check", "--kp"): (GOLDEN_CFG, 0, "5869218174247867fb86f5379654516dcf5a855a98403856aaef6c963042a262"),
-    ("measure",): (MEASURE_CFG, 0, "1bd66d55a6ec76d231270b13cc8735250ed09538319296a4923226a5a17cbec4"),
-    ("simulate",): (GOLDEN_CFG, 0, "0b77f7d20afb69bc47ebed54b81cf7290b4ac3067f7064eeadfb9292ff10fa89"),
-    ("verify", "--suite", "core"): (D1_CFG, 0, "79595f485d89a36bf82ba0c862c57a4a99f8bd2c899eceed15af3eeb3d66dae6"),
-    ("verify", "--suite", "asymptotic"): (ASYMPTOTIC_CFG, 1, "20039fc77c5cb455d5a0eadc628784da618dcd7807d0c8d2b1b2ac0d40abde3f"),
-    ("verify", "--suite", "rates"): (RATES_CFG, 0, "b1f88c5052dc0d149f5c2e7600fcd2b70650b0987a8b344037eb0174b0ffed8c"),
-    ("sweep",): (SWEEP_CFG, 1, "3402c953f3e9b5400dc7b510aee224c5ad7b8241fb102767dc03f65216e93cf0"),
+    "check": (("check", "--kp"), GOLDEN_CFG, 0, "5869218174247867fb86f5379654516dcf5a855a98403856aaef6c963042a262"),
+    "check-zeta3": (("check", "--kp"), ZETA3_CFG, 0, "d64fb46e237c854315e79ef5715d6a6f5e1a9ba578bf0307b04a2a7bfdbdce9a"),
+    "measure": (("measure",), MEASURE_CFG, 0, "1bd66d55a6ec76d231270b13cc8735250ed09538319296a4923226a5a17cbec4"),
+    "simulate": (("simulate",), GOLDEN_CFG, 0, "0b77f7d20afb69bc47ebed54b81cf7290b4ac3067f7064eeadfb9292ff10fa89"),
+    "verify-core": (("verify", "--suite", "core"), D1_CFG, 0, "79595f485d89a36bf82ba0c862c57a4a99f8bd2c899eceed15af3eeb3d66dae6"),
+    "verify-asymptotic": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_CFG, 1, "20039fc77c5cb455d5a0eadc628784da618dcd7807d0c8d2b1b2ac0d40abde3f"),
+    "verify-counterexample": (("verify", "--suite", "counterexample"), COUNTEREXAMPLE_CFG, 0, "6b3979d03565fe5d22bcdf496082599a0919cb8b1807a9b1cba7a92458d12a39"),
+    "verify-rates": (("verify", "--suite", "rates"), RATES_CFG, 0, "b1f88c5052dc0d149f5c2e7600fcd2b70650b0987a8b344037eb0174b0ffed8c"),
+    "sweep": (("sweep",), SWEEP_CFG, 1, "3402c953f3e9b5400dc7b510aee224c5ad7b8241fb102767dc03f65216e93cf0"),
 }
 
 
-def _golden_id(argv):
-    return f"verify-{argv[2]}" if argv[0] == "verify" else argv[0]
-
-
-@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=_golden_id)
-def test_output_bytes_pinned(tmp_path, argv):
-    text, want_code, want_digest = GOLDEN[argv]
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_pinned(tmp_path, name):
+    argv, text, want_code, want_digest = GOLDEN[name]
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(text)
     out = tmp_path / "out.txt"
@@ -169,6 +189,6 @@ def test_each_distinct_run_steps_once(tmp_path, monkeypatch, suite):
 
     monkeypatch.setattr(ThetaStepper, "step", counting_step)
     cfg = tmp_path / "golden.cfg"
-    cfg.write_text(GOLDEN[("verify", "--suite", suite)][0])
+    cfg.write_text(GOLDEN[f"verify-{suite}"][1])
     run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out.txt"), "--suite", suite])
     assert tuple(counts) == STEP_COUNTS[suite]

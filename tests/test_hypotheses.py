@@ -157,6 +157,19 @@ def test_kp_second_order_ratios():
     assert est.ratio_sups["q_over_phi_mu"] <= 1.0 + 1e-12
 
 
+def test_kp_second_order_reads_the_derivatives_the_field_carries():
+    # a field has second derivatives exactly when it carries d2Q, d2b and d2C
+    constants = {f"c_{j}p": 1.0 for j in range(1, 7)}
+    builtin = poly_family(gamma=1.0)
+    names = ("Q", "b", "C", "dQ", "jac_b", "dC", "d2Q", "d2b", "d2C")
+    rebuilt = CoefficientField(dim_d=1, dim_m=2, **{name: getattr(builtin, name) for name in names})
+    est = estimate_kp(rebuilt, p=2.0, sample_spec=SPEC, constants=constants)
+    assert est.sups == estimate_kp(builtin, p=2.0, sample_spec=SPEC, constants=constants).sups
+    pointwise = CoefficientField.from_pointwise(1, 2, builtin.Q, builtin.b, builtin.C)
+    with pytest.raises(ValueError, match="field supplies no"):
+        estimate_kp(pointwise, p=2.0, sample_spec=SPEC, constants=constants)
+
+
 def test_spectral_check_builtin_families():
     rng = np.random.default_rng(3)
     pts = {1: rng.uniform(-6, 6, size=(200, 1)), 2: rng.uniform(-6, 6, size=(400, 2))}
