@@ -7,6 +7,18 @@ measures, and checks the quantitative properties of the semigroup
 rates, long-time convergence) as executable reports.
 """
 
+# Keep this block above every import: numpy and SciPy read these variables
+# once, when they load their BLAS, and every kolsys module imports them.
+# Every BLAS call kolsys makes is small (the largest is a supernode of a
+# d = 2 SuperLU factor), so a second BLAS thread adds CPU time and no speed.
+# Inherited values are overwritten; OMP_NUM_THREADS reaches every OpenMP
+# library in the process and is left alone.
+import os
+
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"), "1"))
+del os
+
 from kolsys.coefficients import (
     BuiltinFamily,
     CoefficientField,

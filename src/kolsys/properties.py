@@ -27,7 +27,14 @@ from kolsys.invariant_measure import (
     solve_scalar_invariant_density,
 )
 from kolsys.reports import PropertyReport, RateFit, Witness
-from kolsys.semigroup import Trajectory, _check_same_times, cesaro_average, discrete_average, evolve
+from kolsys.semigroup import (
+    Trajectory,
+    _check_same_times,
+    cesaro_average,
+    discrete_average,
+    evolve,
+    nested_converged,
+)
 
 DOM_TOL = 1e-6
 SCALAR_INV_TOL = 1e-3
@@ -386,13 +393,10 @@ def verify_cesaro_identity(op, traj: Trajectory, r_obs=3.0) -> PropertyReport:
 
 
 def verify_nested_convergence(result, nest_tol) -> PropertyReport:
-    """A solve_nested ladder converges: its last discrepancy is within nest_tol,
-    the discrepancies decrease strictly unless all are within it, and the
-    Dirichlet-Neumann gap is at most max(2 x the last, nest_tol)."""
+    """A solve_nested ladder converges by the rule of `nested_converged`, judged
+    at this nest_tol."""
     disc = result.discrepancies
-    decreasing = all(d <= nest_tol for d in disc) or all(b < a for a, b in zip(disc, disc[1:]))
-    gap_ok = result.dirichlet_neumann_gap <= max(2.0 * disc[-1], nest_tol)
-    ok = disc[-1] <= nest_tol and decreasing and gap_ok
+    ok = nested_converged(disc, result.dirichlet_neumann_gap, nest_tol)
     return PropertyReport(name="nested_convergence", status="pass" if ok else "fail",
                           measured=disc[-1], bound=nest_tol, tolerance=nest_tol,
                           details={"discrepancies": disc,

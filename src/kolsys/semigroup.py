@@ -79,6 +79,8 @@ class Trajectory:
 
 @dataclass
 class NestedSolveResult:
+    """A nested-ladder run; `converged` is `nested_converged` at the solve's nest_tol."""
+
     trajectory: Trajectory
     discrepancies: list
     converged: bool
@@ -402,8 +404,6 @@ def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0
 
     discrepancies = [_window_discrepancy(trajectories[k], trajectories[k - 1], r_obs)
                      for k in range(1, len(trajectories))]
-    converged = discrepancies[-1] <= nest_tol
-
     other = "dirichlet" if boundary_kind == "neumann" else "neumann"
     L_fin, n_fin = ladder[-1]
     grid_o = build_grid(field.dim_d, L_fin, n_fin, other)
@@ -413,4 +413,15 @@ def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0
     gap = _window_discrepancy(trajectories[-1], traj_o, r_obs)
 
     return NestedSolveResult(trajectory=trajectories[-1], discrepancies=discrepancies,
-                             converged=converged, dirichlet_neumann_gap=gap)
+                             converged=nested_converged(discrepancies, gap, nest_tol),
+                             dirichlet_neumann_gap=gap)
+
+
+def nested_converged(discrepancies, gap, nest_tol) -> bool:
+    """The nested-ladder verdict: the last discrepancy is within nest_tol, the
+    discrepancies decrease strictly unless all are within it, and the
+    Dirichlet-Neumann gap is at most max(2 x the last, nest_tol)."""
+    decreasing = (all(d <= nest_tol for d in discrepancies)
+                  or all(b < a for a, b in zip(discrepancies, discrepancies[1:])))
+    return (discrepancies[-1] <= nest_tol and decreasing
+            and gap <= max(2.0 * discrepancies[-1], nest_tol))

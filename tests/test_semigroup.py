@@ -16,6 +16,7 @@ from kolsys.discretization import (
     build_grid,
     grid_function_from_callable,
 )
+from kolsys.properties import verify_nested_convergence
 from kolsys.semigroup import (
     SolveError,
     ThetaStepper,
@@ -383,6 +384,18 @@ def test_nested_small_time_compact_support():
                           nest_tol=1e-8, r_obs=3.0, dt=1e-3)
     assert result.discrepancies[0] <= 1e-8
     assert result.converged
+
+
+def test_nested_converged_is_the_shipped_verdict():
+    # b = -0.2 x: the last rung is within nest_tol (7.0e-3 <= 1e-2), but the
+    # Dirichlet-Neumann gap 3.8e-2 exceeds max(2 x 7.0e-3, 1e-2)
+    result = solve_nested(exchange2_field(beta=0.0, b0=0.2), tanh_gauss, t_final=2.0,
+                          ladder=[(3.0, 61), (4.0, 81), (5.0, 101)],
+                          nest_tol=1e-2, r_obs=2.0, dt=1e-2)
+    assert result.discrepancies[-1] == pytest.approx(7.02e-3, abs=1e-5)
+    assert result.dirichlet_neumann_gap == pytest.approx(3.84e-2, abs=1e-4)
+    assert not result.converged
+    assert not verify_nested_convergence(result, 1e-2).passed
 
 
 def test_evolve_2d_markov_and_positivity():
