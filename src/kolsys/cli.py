@@ -177,11 +177,11 @@ def _node_cells(grid):
             for idx, x in enumerate(grid.nodes.tolist())]
 
 
-def _rows(prefixes, values):
-    """CSV lines, joined: each prefix followed by its row of `values` (N, k),
-    the numbers written as `fmt` writes them."""
-    return "\n".join(f"{head},{','.join(map(repr, row))}"
-                     for head, row in zip(prefixes, values.tolist()))
+def _rows(cells, values):
+    """CSV lines, joined: line i joins the i-th entry of each text column in
+    `cells` and of each row of `values` (k, N), whose numbers are written as
+    `fmt` writes them."""
+    return "\n".join(map(",".join, zip(*cells, *(map(repr, row) for row in values.tolist()))))
 
 
 def _trajectory_csv(traj):
@@ -192,8 +192,7 @@ def _trajectory_csv(traj):
     blocks = [",".join(header)]
     nodes = _node_cells(grid)
     for t, values in zip(traj.times, traj.values):
-        t_cell = fmt(t)
-        blocks.append(_rows((f"{t_cell},{cells}" for cells in nodes), values.T))
+        blocks.append(_rows([itertools.repeat(fmt(t)), nodes], values))
     return "\n".join(blocks) + "\n"
 
 
@@ -241,7 +240,7 @@ def cmd_measure(args):
     columns = [mu.rho]
     if oracle is not None:
         columns += [oracle.rho, mu.rho - oracle.rho]
-    text = ",".join(header) + "\n" + _rows(_node_cells(grid), np.column_stack(columns)) + "\n"
+    text = ",".join(header) + "\n" + _rows([_node_cells(grid)], np.array(columns)) + "\n"
     atomic_write(_out_path(args, cfg, "density.csv"), text)
     return 0
 
@@ -411,36 +410,40 @@ def cmd_verify(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _sweep_row(cfg, family, ps):
-    """The summary rows of one drift family, one per L^p exponent in `ps`.
-
-    Only the L^p bound depends on p: the hypotheses, the measure system and
-    the trajectory are computed once for the family.
-    """
+def _sweep_family(cfg, family):
+    """The Lyapunov and growth checks of one drift family, and the run it
+    needs if it passes the Lyapunov check: its measure system, system
+    operator and datum (None otherwise)."""
     field = make_builtin(family)
     grid = grid_from_config(cfg, boundary_override="neumann")
-    dt, t_final, theta, store_every = time_from_config(cfg)
     spec = _sample_spec(cfg)
     sigma = cfg.get("verify", "phi_exponent")
-    r_obs = cfg.get("verify", "R_obs")
-
     lyap = check_lyapunov(field, sigma, spec)
     growth = check_growth(field, sigma, spec)
+    if not lyap.passed:
+        return lyap, growth, None
+    *_, sys = _measure_pipeline(cfg, field, grid)
+    return lyap, growth, (sys, assemble_system_operator(field, grid),
+                          data_from_config(cfg, grid, field.dim_m))
+
+
+def _sweep_row(cfg, family, ps, lyap, growth, sys=None, traj=None):
+    """The summary rows of one drift family, one per L^p exponent in `ps`,
+    from its Lyapunov and growth checks and, if it passed the Lyapunov
+    check, its measure system and trajectory.
+
+    Only the L^p bound depends on p: the rest is computed once for the family.
+    """
     rows = [{"gamma": family.gamma, "beta": family.beta, "b0": family.b0, "p": p,
              "lyapunov": lyap.status, "growth": growth.status} for p in ps]
-    if not lyap.passed:
+    if traj is None:
         for row in rows:
             row.update({"invariance": "", "lp_bound": "", "longtime_err": "",
                         "decay_rate": "", "m_f": ""})
         return rows
 
-    *_, sys = _measure_pipeline(cfg, field, grid)
-    op = assemble_system_operator(field, grid)
-    f = data_from_config(cfg, grid, field.dim_m)
-    traj = evolve(op, f, t_final, dt=dt, theta=theta, store_every=store_every)
     inv = verify_invariance(traj, sys, inv_tol=cfg.get("verify", "inv_tol"))
-    longtime = verify_longtime(traj, sys, r_obs=r_obs).details
-
+    longtime = verify_longtime(traj, sys, r_obs=cfg.get("verify", "R_obs")).details
     for row in rows:
         row.update({"invariance": inv.status,
                     "lp_bound": verify_lp_bound(traj, sys, row["p"],
@@ -467,11 +470,19 @@ def cmd_sweep(args):
     if len(combos) > cap:
         raise ConfigError(f"sweep of {len(combos)} runs exceeds the cap {cap}")
 
-    # rows that differ only in p share one _sweep_row call
-    families = [(key, [c[3] for c in group])
+    # rows that differ only in p share one family's checks, run and _sweep_row call
+    families = [(replace(family, **dict(zip(varied, key))), [c[3] for c in group])
                 for key, group in itertools.groupby(combos, key=lambda c: c[:3])]
-    rows = [row for key, p_values in families
-            for row in _sweep_row(cfg, replace(family, **dict(zip(varied, key))), p_values)]
+    checked = [_sweep_family(cfg, fam) for fam, _ in families]
+    # every family that passes the Lyapunov check evolves in one stack
+    runs = [run for *_, run in checked if run is not None]
+    dt, t_final, theta, store_every = time_from_config(cfg)
+    trajs = iter(evolve([op for _, op, _ in runs], [f for *_, f in runs], t_final, dt=dt,
+                        theta=theta, store_every=store_every) if runs else ())
+    rows = []
+    for (fam, ps), (lyap, growth, run) in zip(families, checked):
+        ran = (run[0], next(trajs)) if run is not None else ()
+        rows += _sweep_row(cfg, fam, ps, lyap, growth, *ran)
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:

@@ -317,6 +317,5 @@ class DerivativeBundle:
         return _float_or_array(np.sqrt(_sum_sq(self._derivative("d2b", x), 3)))
 
 
-def derivative_bundle(field: CoefficientField) -> DerivativeBundle:
-    """Return the analytic derivative bundle of a field."""
-    return DerivativeBundle(field)
+# the public function name of the class, kept beside it in the API
+derivative_bundle = DerivativeBundle

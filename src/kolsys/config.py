@@ -74,7 +74,7 @@ SCHEMA = {
                "slope_margin": (FLOAT, 0.25), "lp_tol": (FLOAT, 1e-6),
                "fp_tol": (FLOAT, 1e-8), "fp_gap": (FLOAT, 0.1)},
     # each sweep list defaults to the [problem] family's own value.  workers
-    # is read by nothing, since the families run serially; it stays accepted
+    # is read by nothing, since the families run in one process; it stays accepted
     # because existing configs set it, the benchmark's sweep input among them.
     "sweep": {"gamma": (FLOATS, None), "beta": (FLOATS, None), "b0": (FLOATS, None),
               "p": (FLOATS, (2.0,)), "cap": (INT, 64), "workers": (INT, None)},

@@ -6,8 +6,13 @@ linear solve and one sparse product, and checks the relative residual of
 that solve on every step (see ThetaStepper).  Every datum steps as a column
 of an (n, k) block, a lone datum as k = 1: evolve takes a list of data that
 share an operator, dt and theta and steps them together, with one
-factorization for all of them.  Every column is held to the 1e-10 relative
-residual on its own, and equals, bit for bit, the run of that datum alone.
+factorization for all of them.  Runs on different operators that share dt,
+theta, t_final and the stored times step as the blocks of one
+block-diagonal system, in one loop with one factorization: solve_nested
+stacks its rungs and the other-boundary twin this way.  Every (block,
+column) segment is held to the 1e-10 relative residual on its own, and
+equals, bit for bit, the run of that datum alone (for the exceptions in a
+stack see ThetaStepper).
 """
 
 from __future__ import annotations
@@ -90,10 +95,19 @@ class NestedSolveResult:
 class ThetaStepper:
     """Factorized M = I - theta dt A, stepping M x = B u with B = I + (1 - theta) dt A.
 
-    `step` takes an (n, k) block whose columns are independent data; a dof
-    vector steps as its (n, 1) view and comes back as a vector.  A step is
-    one solve and one sparse product.  For theta < 1 the product is y = B x
-    of the new state x: it is the next step's right-hand side, and
+    `ops` is one DiscreteOperator or a sequence of them on grids of one
+    dimension d.  A sequence is a stack: A = diag(A_1, ..., A_r), so runs
+    on different operators that share dt and theta step as one system,
+    with one factorization and one solve per step; a lone operator is a
+    stack of one.  `blocks` holds the rows [lo, hi) of each operator.  A
+    step at d = 1 costs about 9.5 us of fixed SuperLU call overhead plus
+    about 29 ns per row, so a stack pays the fixed part once.
+
+    `step` takes an (n, k) block whose columns are independent data (column
+    j holds a datum of every operator of the stack); a dof vector steps as
+    its (n, 1) view and comes back as a vector.  A step is one solve and
+    one sparse product.  For theta < 1 the product is y = B x of the new
+    state x: it is the next step's right-hand side, and
     M x = (x - theta y) / (1 - theta) gives this step's residual.  The
     stepper carries (x, B x): handed back the array it returned (read-only),
     it reuses B x.  For theta = 1, B is the identity, the state is the
@@ -109,29 +123,43 @@ class ThetaStepper:
     for bit in every case tried (the tests pin it).  At d = 2, SuperLU's
     BLAS-3 kernels on wide supernodes may round a block differently, so it
     is solved column by column.  Each column equals the step of that datum
-    alone, bit for bit.
+    alone, bit for bit.  A stacked operator's segment equals its step alone
+    bit for bit when the ordering of the stack keeps that operator's own
+    elimination order: at d = 2, and at d = 1 for two-component systems,
+    in every case tried (the tests pin it).  At d = 1 COLAMD orders a stack
+    of scalar or three-component operators of different sizes differently,
+    and a segment may then move at round-off.
 
-    Every column must meet |M x - B u| <= SOLVE_RTOL |B u| on its own; NaN
-    and inf fail.  The solve is deterministic, so a failing column raises
-    SolveError after its one solve, naming the time k dt of the carried run
-    and, when k > 1, the column, and calling the time step unstable when x
-    or B x is not finite.
+    Every (block, column) segment must meet |M x - B u| <= SOLVE_RTOL |B u|
+    on its own; NaN and inf fail.  The solve is deterministic, so a failing
+    segment raises SolveError after its one solve, naming the time k dt of
+    the carried run and, in a stack, the operator's block and grid, and,
+    when k > 1, the column; it calls the time step unstable when x or B x
+    is not finite.
     """
 
-    def __init__(self, op: DiscreteOperator, dt, theta):
+    def __init__(self, ops, dt, theta):
         if dt <= 0:
             raise ValueError("dt must be positive")
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        self.op = op
+        self.ops = [ops] if isinstance(ops, DiscreteOperator) else list(ops)
+        if not self.ops:
+            raise ValueError("a stack needs at least one operator")
+        if len({op.grid.d for op in self.ops}) > 1:
+            raise ValueError("stacked operators must share the dimension d")
         self.dt = float(dt)
         self.theta = float(theta)
-        n = op.matrix.shape[0]
-        eye = sp.identity(n, format="csr")
-        self.M = (eye - theta * dt * op.matrix).tocsc()
-        self.B = None if theta == 1.0 else (eye + (1.0 - theta) * dt * op.matrix).tocsr()
+        ends = np.cumsum([op.matrix.shape[0] for op in self.ops]).tolist()
+        # the rows [lo, hi) of each operator's block
+        self.blocks = list(zip([0] + ends[:-1], ends))
+        A = self.ops[0].matrix if len(self.ops) == 1 else \
+            sp.block_diag([op.matrix for op in self.ops], format="csr")
+        eye = sp.identity(A.shape[0], format="csr")
+        self.M = (eye - theta * dt * A).tocsc()
+        self.B = None if theta == 1.0 else (eye + (1.0 - theta) * dt * A).tocsr()
         self._fused = self.theta <= FUSED_THETA_MAX
-        self._multi_rhs = op.grid.d == 1
+        self._multi_rhs = self.ops[0].grid.d == 1
         self._lu = None
         self._widen(1)
         # carried state: the last returned x, the next right-hand side, x's step number
@@ -140,7 +168,7 @@ class ThetaStepper:
 
     def _direct(self):
         if self._lu is None:
-            permc_spec = "MMD_AT_PLUS_A" if self.op.grid.d == 2 else "COLAMD"
+            permc_spec = "MMD_AT_PLUS_A" if self.ops[0].grid.d == 2 else "COLAMD"
             try:
                 self._lu = spla.splu(self.M, permc_spec=permc_spec)
             except RuntimeError as exc:   # pragma: no cover - singular system
@@ -172,6 +200,15 @@ class ThetaStepper:
         raise SolveError(f"linear solve residual {residual:.2e} exceeds "
                          f"{SOLVE_RTOL} at t = {t:.6g}{where}")
 
+    def _where(self, b, j, k):
+        """Where in a step a segment lies: the operator's block in a stack, the column in a block."""
+        parts = [f"column {j}"] if k > 1 else []
+        if len(self.ops) > 1:
+            g = self.ops[b].grid
+            parts.insert(0, f"block {b} ({g.boundary_kind}, L = {g.L:g}, "
+                            f"{g.n_per_axis} nodes per axis)")
+        return " in " + ", ".join(parts) if parts else ""
+
     def step(self, u):
         """One theta-step from the dof vector u, or from an (n, k) block of k
         data; returns the new state in u's shape, read-only."""
@@ -200,13 +237,15 @@ class ThetaStepper:
         else:
             r = self._add_product(self._M_k, x, np.negative(rhs))
             r_scale = 1.0
-        n = x.shape[0]
-        for j in range(x.shape[1]):
-            rr, hh = ddot(r, r, n, j * n, 1, j * n, 1), ddot(rhs, rhs, n, j * n, 1, j * n, 1)
-            residual = math.sqrt(rr) / r_scale / max(math.sqrt(hh), 1e-300)
-            if not residual <= SOLVE_RTOL:
-                self._fail(k, x[:, j], None if bx is None else bx[:, j], residual,
-                           f" in column {j}" if x.shape[1] > 1 else "")
+        n, width = x.shape
+        for j in range(width):
+            for b, (lo, hi) in enumerate(self.blocks):
+                at = j * n + lo
+                rr, hh = ddot(r, r, hi - lo, at, 1, at, 1), ddot(rhs, rhs, hi - lo, at, 1, at, 1)
+                residual = math.sqrt(rr) / r_scale / max(math.sqrt(hh), 1e-300)
+                if not residual <= SOLVE_RTOL:
+                    self._fail(k, x[lo:hi, j], None if bx is None else bx[lo:hi, j], residual,
+                               self._where(b, j, width))
         x.setflags(write=False)
         x_out = x if u.ndim == 2 else x[:, 0]
         # the next step's right-hand side: B x, or x itself for theta = 1
@@ -268,32 +307,53 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     factorization, the 1e-10 relative residual held column by column, and
     each Trajectory bitwise equal to evolving that datum alone.
 
+    `op` may also be a sequence of operators, which step as the blocks of
+    one block-diagonal system: `f` then holds one entry per operator, each
+    a datum or a sequence of data as above, every sequence of one length.
+    The result is a list whose i-th entry is what evolve(op[i], f[i], ...)
+    returns, from one stepping loop and one factorization: bit for bit,
+    except at d = 1 for m != 2 on operators of different sizes, where it
+    may differ at round-off (see ThetaStepper).
+
     Dirichlet runs store the initial datum exactly and later states with
     zero boundary values.  Aborts with SolveError if a step fails its residual
-    check, naming the time, and says so when the state has left the finite
-    range (instability).
+    check, naming the time (and, in a stack, the operator's block), and says
+    so when the state has left the finite range (instability).
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    batched = not isinstance(f, GridFunction)
-    data = _batch(op, f) if batched else [f]
+    stacked = not isinstance(op, DiscreteOperator)
+    ops, entries = (list(op), list(f)) if stacked else ([op], [f])
+    if not ops or len(entries) != len(ops):
+        raise ValueError("a stack needs one entry of data per operator, and at least one")
+    batched = [not isinstance(g, GridFunction) for g in entries]
+    data = [_batch(o, g) if many else [g] for o, g, many in zip(ops, entries, batched)]
+    k = len(data[0])
+    if any(len(d) != k for d in data):
+        raise ValueError("every operator of a stack must carry equally many data")
     n_steps = max(1, int(round(t_final / dt)))
     marks = _store_steps(n_steps, dt, store_every, store_times)
-    stepper = ThetaStepper(op, dt, theta)
+    stepper = ThetaStepper(ops, dt, theta)
 
-    # (k, n) rows transposed: an (n, k) block whose columns are contiguous
-    u = np.array([op.restrict(g) for g in data]).T
+    # each operator's (k, n) rows transposed, stacked: an (n, k) block whose
+    # columns hold one datum of every operator
+    u = np.vstack([np.array([o.restrict(g) for g in d]).T for o, d in zip(ops, data)])
     # every datum's stored states, written in place; zero off the dof nodes
-    out = np.zeros((len(data), len(marks), op.m, op.grid.n_nodes))
-    out[:, 0] = [g.values for g in data]
-    slot = {k: i for i, k in enumerate(marks)}
-    for k in range(1, n_steps + 1):
+    outs = [np.zeros((k, len(marks), o.m, o.grid.n_nodes)) for o in ops]
+    for out, d in zip(outs, data):
+        out[:, 0] = [g.values for g in d]
+    slot = {s: i for i, s in enumerate(marks)}
+    for s in range(1, n_steps + 1):
         u = stepper.step(u)
-        if k in slot:
-            out[:, slot[k]][..., op.dof_indices] = u.T.reshape(len(data), op.m, op.n_dof)
-    trajectories = [Trajectory(times=np.array(marks) * dt, values=v, grid=op.grid, dt=dt,
-                               theta=theta, boundary_kind=op.boundary_kind) for v in out]
-    return trajectories if batched else trajectories[0]
+        if s in slot:
+            for o, out, (lo, hi) in zip(ops, outs, stepper.blocks):
+                out[:, slot[s]][..., o.dof_indices] = u[lo:hi].T.reshape(k, o.m, o.n_dof)
+    results = []
+    for o, out, many in zip(ops, outs, batched):
+        trajectories = [Trajectory(times=np.array(marks) * dt, values=v, grid=o.grid, dt=dt,
+                                   theta=theta, boundary_kind=o.boundary_kind) for v in out]
+        results.append(trajectories if many else trajectories[0])
+    return results if stacked else results[0]
 
 
 def cesaro_average(traj: Trajectory) -> GridFunction:
@@ -377,6 +437,8 @@ def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0
     field to t_final (for example as one column of a batch).  A rung whose
     grid, initial values, dt, theta and stored times match one of them takes
     it as its run instead of evolving again; the field is the caller's word.
+    Every other rung and the twin evolve in one call, as the blocks of one
+    stack (see evolve).
     """
     if len(ladder) < 2:
         raise ValueError("ladder needs at least two rungs")
@@ -388,31 +450,30 @@ def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0
 
     n_steps = max(1, int(round(t_final / dt)))
     times = np.array([k * dt for k in _store_steps(n_steps, dt, store_every, None)])
-    trajectories = []
-    hs = []
-    for L, n in ladder:
-        grid = build_grid(field.dim_d, L, n, boundary_kind)
-        hs.append(grid.h)
-        f = grid_function_from_callable(grid, f_fn, m=field.dim_m)
-        traj = _same_run(runs, grid, f, dt, theta, times)
-        if traj is None:
-            op = assemble_system_operator(field, grid)
-            traj = evolve(op, f, t_final, dt=dt, theta=theta, store_every=store_every)
-        trajectories.append(traj)
+    other = "dirichlet" if boundary_kind == "neumann" else "neumann"
+    # the rungs, then the final rung's twin with the other boundary condition
+    grids = [build_grid(field.dim_d, L, n, boundary_kind) for L, n in ladder]
+    grids.append(build_grid(field.dim_d, *ladder[-1], other))
+    hs = [grid.h for grid in grids]
     if max(hs) - min(hs) > 1e-9 * max(hs):
         raise ValueError("ladder rungs must share the grid spacing h")
+    data = [grid_function_from_callable(grid, f_fn, m=field.dim_m) for grid in grids]
+    trajectories = [_same_run(runs, grid, f, dt, theta, times)
+                    for grid, f in zip(grids[:-1], data)] + [None]
+    # every run not taken from `runs` steps in one stack
+    todo = [i for i, traj in enumerate(trajectories) if traj is None]
+    stack = evolve([assemble_system_operator(field, grids[i]) for i in todo],
+                   [data[i] for i in todo], t_final, dt=dt, theta=theta,
+                   store_every=store_every)
+    for i, traj in zip(todo, stack):
+        trajectories[i] = traj
+    *rungs, traj_o = trajectories
 
-    discrepancies = [_window_discrepancy(trajectories[k], trajectories[k - 1], r_obs)
-                     for k in range(1, len(trajectories))]
-    other = "dirichlet" if boundary_kind == "neumann" else "neumann"
-    L_fin, n_fin = ladder[-1]
-    grid_o = build_grid(field.dim_d, L_fin, n_fin, other)
-    op_o = assemble_system_operator(field, grid_o)
-    f_o = grid_function_from_callable(grid_o, f_fn, m=field.dim_m)
-    traj_o = evolve(op_o, f_o, t_final, dt=dt, theta=theta, store_every=store_every)
-    gap = _window_discrepancy(trajectories[-1], traj_o, r_obs)
+    discrepancies = [_window_discrepancy(rungs[k], rungs[k - 1], r_obs)
+                     for k in range(1, len(rungs))]
+    gap = _window_discrepancy(rungs[-1], traj_o, r_obs)
 
-    return NestedSolveResult(trajectory=trajectories[-1], discrepancies=discrepancies,
+    return NestedSolveResult(trajectory=rungs[-1], discrepancies=discrepancies,
                              converged=nested_converged(discrepancies, gap, nest_tol),
                              dirichlet_neumann_gap=gap)
 

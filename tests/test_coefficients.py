@@ -115,6 +115,13 @@ def test_bundle_names_the_derivative_a_field_lacks():
             getattr(bundle, value)([0.5])
 
 
+def test_derivative_bundle_is_an_alias_of_the_class():
+    import kolsys
+
+    assert kolsys.derivative_bundle is kolsys.DerivativeBundle
+    assert {"derivative_bundle", "DerivativeBundle"} <= set(kolsys.__all__)
+
+
 def finite_difference_jacobian(fn, x, h=1e-4):
     """Central-difference Jacobian of a vector/matrix-valued map, O(h^2)."""
     x = np.asarray(x, dtype=float)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import kolsys.semigroup as semigroup
 from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin, rowdot
 from kolsys.discretization import (
     DiscreteOperator,
@@ -676,3 +677,153 @@ def test_nested_reuses_a_matching_run():
         result = solve_nested(field, tanh_gauss, runs=[stranger], **kwargs)
         assert result.trajectory is not stranger
         assert _same_trajectory(result.trajectory, plain.trajectory)
+
+
+# -- stacked stepping: runs on different operators step as one block-diagonal system
+
+def _stack_recorder(monkeypatch):
+    """Record every evolve call solve_nested makes: (operators, data, result)."""
+    calls = []
+    real_evolve = semigroup.evolve
+
+    def recording_evolve(op, f, *args, **kwargs):
+        result = real_evolve(op, f, *args, **kwargs)
+        calls.append((op, f, result))
+        return result
+
+    monkeypatch.setattr(semigroup, "evolve", recording_evolve)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_nested_runs_equal_their_lone_evolves_bitwise(monkeypatch, d):
+    # d = 1: the [nest] ladder of configs/exchange2.cfg and its field, whose
+    # L = 8 rung pivots, plus the Dirichlet twin of that rung; d = 2: a small
+    # two-rung ladder with a cross term
+    if d == 1:
+        field, f_fn, ladder, r_obs = exchange2_field(), tanh_gauss, \
+            [(4.0, 321), (6.0, 481), (8.0, 641)], 3.0
+    else:
+        field = make_builtin(BuiltinFamily(dim_d=2, dim_m=2, gamma=1.0, beta=1.0, b0=1.0,
+                                           Q0=np.array([[2.0, 0.5], [0.5, 1.0]])))
+        f_fn, ladder, r_obs = (lambda x: [np.tanh(x[..., 0] - x[..., 1]),
+                                          np.exp(-rowdot(x, x))]), [(2.0, 21), (3.0, 31)], 1.5
+    calls = _stack_recorder(monkeypatch)
+    result = solve_nested(field, f_fn, t_final=0.05, ladder=ladder, nest_tol=1.0,
+                          r_obs=r_obs, dt=1e-3, store_every=10)
+    [(ops, data, stack)] = calls
+    assert [(o.grid.L, o.grid.n_per_axis, o.boundary_kind) for o in ops] == \
+        [(L, n, "neumann") for L, n in ladder] + [(*ladder[-1], "dirichlet")]
+    assert result.trajectory is stack[-2]
+    for op, f, traj in zip(ops, data, stack):
+        alone = evolve(op, f, t_final=0.05, dt=1e-3, store_every=10)
+        assert _same_trajectory(traj, alone), op.grid
+
+
+def test_nested_stacks_only_the_runs_it_does_not_reuse(monkeypatch):
+    field = exchange2_field()
+    grid = build_grid(1, 6.0, 241, "neumann")
+    run = evolve(assemble_system_operator(field, grid),
+                 grid_function_from_callable(grid, tanh_gauss), 0.02, dt=1e-3)
+    calls = _stack_recorder(monkeypatch)
+    solve_nested(field, tanh_gauss, t_final=0.02, ladder=[(4.0, 161), (6.0, 241)],
+                 nest_tol=1e-8, r_obs=3.0, dt=1e-3, runs=[run])
+    [(ops, _, _)] = calls
+    assert [(o.grid.L, o.boundary_kind) for o in ops] == [(4.0, "neumann"), (6.0, "dirichlet")]
+
+
+def _stack():
+    """Operators of several boxes and both boundary kinds on d = 1 grids,
+    each with two data."""
+    field = exchange2_field()
+    grids = [build_grid(1, 6.0, 81, "neumann"), build_grid(1, 6.0, 41, "dirichlet"),
+             build_grid(1, 4.0, 61, "neumann")]
+    ops = [assemble_system_operator(field, grid) for grid in grids]
+    data = [[grid_function_from_callable(
+        grid, lambda x, a=a: [np.tanh(a * x[..., 0]), np.exp(-a * x[..., 0] ** 2)])
+        for a in (0.5, 2.0)] for grid in grids]
+    return ops, data
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 0.995, 1.0])
+def test_stacked_evolve_equals_each_operator_alone_bitwise(theta):
+    ops, data = _stack()
+    kwargs = dict(t_final=0.04, dt=2e-3, theta=theta, store_times=[0.01, 0.02])
+    for batch in (data, [d[0] for d in data]):
+        stack = evolve(ops, batch, **kwargs)
+        assert len(stack) == len(ops)
+        for op, f, got in zip(ops, batch, stack):
+            alone = evolve(op, f, **kwargs)
+            pairs = zip(got, alone) if isinstance(f, list) else [(got, alone)]
+            assert all(_same_trajectory(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_stacked_d1_runs_with_m_other_than_2_agree_to_round_off(m):
+    # at d = 1 COLAMD orders a stack of scalar or three-component operators
+    # differently from each operator alone, so a run may move at round-off;
+    # at m = 2 and at d = 2 the orders agree and the runs are bitwise equal
+    field = make_builtin(BuiltinFamily(dim_d=1, dim_m=max(m, 2), gamma=0.0, beta=1.0, b0=1.0,
+                                       Q0=np.eye(1), coupling_kind="zeta3" if m == 3 else
+                                       "exchange2"))
+    assemble = assemble_scalar_operator if m == 1 else assemble_system_operator
+    grids = [build_grid(1, L, n, "neumann") for L, n in ((4.0, 81), (6.0, 121), (8.0, 161))]
+    ops = [assemble(field, grid) for grid in grids]
+    data = [grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0] + k) for k in range(m)],
+                                        m=m) for grid in grids]
+    kwargs = dict(t_final=0.2, dt=2e-3, store_every=10)
+    for op, f, got in zip(ops, data, evolve(ops, data, **kwargs)):
+        alone = evolve(op, f, **kwargs)
+        assert np.max(np.abs(got.values - alone.values)) <= 1e-14
+
+
+def test_stacked_evolve_rejects_ragged_or_mixed_stacks():
+    ops, data = _stack()
+    op2, data2 = _block_operator("d2")
+    for stack, batch in ((ops, data[:2]), (ops, [data[0], data[1][0], data[2]]),
+                         ([ops[0], op2], [data[0][0], data2[0]]), ([], []),
+                         (ops, [data[0], data[1], [data[2][0]] * 3])):
+        with pytest.raises(ValueError):
+            evolve(stack, batch, t_final=0.1, dt=1e-2)
+
+
+def test_stacked_solve_off_by_1e9_in_one_block_names_that_block(monkeypatch):
+    # negative control for the residual of each (block, column) segment: the
+    # solve of block 1 is 1e-9 off (relative to that block) from step 30 on,
+    # every other block is exact.  Block 1 carries a datum 1e-3 the size of
+    # the others, so a residual over the whole stacked column would read
+    # about 1e-12 and miss it.
+    ops, data = _stack()
+    batch = [data[0][0], GridFunction(data[1][0].grid, 1e-3 * data[1][0].values), data[2][0]]
+    lo, hi = ThetaStepper(ops, 1e-2, 0.5).blocks[1]
+    real_direct = ThetaStepper._direct
+    solves = itertools.count(1)
+    rng = np.random.default_rng(7)
+
+    def direct(self):
+        lu = real_direct(self)
+
+        def solve(rhs):
+            x = lu.solve(rhs)
+            if next(solves) >= 30:
+                w = rng.standard_normal(hi - lo)
+                x[lo:hi, 0] += 1e-9 * np.linalg.norm(x[lo:hi, 0]) / np.linalg.norm(w) * w
+            return x
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(ThetaStepper, "_direct", direct)
+    with pytest.raises(SolveError, match=r"residual \S+ exceeds 1e-10 at t = 0\.3 in block 1 "
+                                         r"\(dirichlet, L = 6, 41 nodes per axis\)$"):
+        evolve(ops, batch, t_final=0.5, dt=1e-2)
+
+
+def test_stacked_nan_names_the_block_and_column():
+    ops, data = _stack()
+    stepper = ThetaStepper(ops, 1e-2, 0.5)
+    lo, _ = stepper.blocks[2]
+    u = np.vstack([np.array([o.restrict(g) for g in d]).T for o, d in zip(ops, data)])
+    u[lo + 3, 1] = np.nan
+    with pytest.raises(SolveError, match=r"non-finite state at t = 0\.01 in block 2 "
+                                         r"\(neumann, L = 4, 61 nodes per axis\), column 1; "):
+        stepper.step(u)
