@@ -1,5 +1,10 @@
 """Command-line front door: check, simulate, measure, verify, sweep.
 
+Every command is `cmd_*(args, cfg) -> (text, exit_code)`.  The frame they
+share lives in `run()`: it parses the config once, calls the command and
+writes the text it returns to `--out`, else `[output] out`, else the
+command's default file name; a command that raises writes nothing.
+
 Exit codes: 0 when every executed check passes, 1 on a property failure,
 2 on configuration or runtime errors.  Outputs are written atomically and
 floats are formatted as shortest round-trip decimals, so identical configs
@@ -68,7 +73,7 @@ from kolsys.properties import (
     verify_semigroup_bounds,
 )
 from kolsys.reports import CheckRecord
-from kolsys.semigroup import SolveError, evolve, solve_nested
+from kolsys.semigroup import evolve, solve_nested
 
 
 def fmt(x):
@@ -119,13 +124,7 @@ def _sample_spec(cfg):
     return SampleSpec(radius=radius, n_per_axis=81)
 
 
-def _out_path(args, cfg, fallback):
-    """--out wins over the [output] section, which wins over the default name."""
-    return args.out or cfg.get("output", "out") or fallback
-
-
-def cmd_check(args):
-    cfg = parse_config(args.config)
+def cmd_check(args, cfg):
     field = make_builtin(family_from_config(cfg))
     spec = _sample_spec(cfg)
     sigma = cfg.get("verify", "phi_exponent")
@@ -167,8 +166,7 @@ def cmd_check(args):
                 status="pass" if est.bounded else "inconclusive",
                 constants={"sup": est.sups["K_p"], "trend": est.trend}))
 
-    atomic_write(_out_path(args, cfg, "report.txt"), _records_text(records))
-    return 0 if all(r.status == "pass" for r in records) else 1
+    return _records_text(records), 0 if all(r.status == "pass" for r in records) else 1
 
 
 def _node_cells(grid):
@@ -196,8 +194,7 @@ def _trajectory_csv(traj):
     return "\n".join(blocks) + "\n"
 
 
-def cmd_simulate(args):
-    cfg = parse_config(args.config)
+def cmd_simulate(args, cfg):
     field = make_builtin(family_from_config(cfg))
     dt, t_final, theta, store_every = time_from_config(cfg)
     if args.nested:
@@ -208,41 +205,32 @@ def cmd_simulate(args):
         result = solve_nested(field, data_callable(cfg, field.dim_m), t_final,
                               ladder, nest_tol, r_obs, dt=dt, theta=theta,
                               boundary_kind=boundary, store_every=store_every)
-        atomic_write(_out_path(args, cfg, "traj.csv"),
-                     _trajectory_csv(result.trajectory))
         for k, disc in enumerate(result.discrepancies, start=1):
             print(f"rung {k} discrepancy = {fmt(disc)}")
         print(f"dirichlet_neumann_gap = {fmt(result.dirichlet_neumann_gap)}")
         converged = verify_nested_convergence(result, nest_tol).passed
         print(f"converged = {converged}")
-        return 0 if converged else 1
+        return _trajectory_csv(result.trajectory), 0 if converged else 1
     grid = grid_from_config(cfg)
     op = assemble_system_operator(field, grid)
     f = data_from_config(cfg, grid, field.dim_m)
     traj = evolve(op, f, t_final, dt=dt, theta=theta, store_every=store_every)
-    atomic_write(_out_path(args, cfg, "traj.csv"), _trajectory_csv(traj))
-    return 0
+    return _trajectory_csv(traj), 0
 
 
-def cmd_measure(args):
-    cfg = parse_config(args.config)
+def cmd_measure(args, cfg):
     field = make_builtin(family_from_config(cfg))
     grid = grid_from_config(cfg)
+    if args.oracle and grid.d != 1:
+        raise ConfigError("--oracle requires d = 1")
     mu = solve_scalar_invariant_density(field, grid)
-    coord_cols = [f"x{i + 1}" for i in range(grid.d)]
-    header = ["node_index"] + coord_cols + ["rho"]
-    oracle = None
+    header = ["node_index"] + [f"x{i + 1}" for i in range(grid.d)] + ["rho"]
+    columns = [mu.rho]
     if args.oracle:
-        if grid.d != 1:
-            raise ConfigError("--oracle requires d = 1")
         oracle = oracle_density_1d(field, grid)
         header += ["rho_oracle", "diff"]
-    columns = [mu.rho]
-    if oracle is not None:
         columns += [oracle.rho, mu.rho - oracle.rho]
-    text = ",".join(header) + "\n" + _rows([_node_cells(grid)], np.array(columns)) + "\n"
-    atomic_write(_out_path(args, cfg, "density.csv"), text)
-    return 0
+    return ",".join(header) + "\n" + _rows([_node_cells(grid)], np.array(columns)) + "\n", 0
 
 
 def _measure_pipeline(cfg, field, grid):
@@ -252,8 +240,7 @@ def _measure_pipeline(cfg, field, grid):
     return xi, mu, build_measure_system(xi, mu, 1.0)
 
 
-def _suite_core(cfg, field):
-    grid = grid_from_config(cfg, boundary_override="neumann")
+def _suite_core(cfg, field, grid):
     dt, t_final, theta, _ = time_from_config(cfg)
     r_obs = cfg.get("verify", "R_obs")
     seed = cfg.get("run", "seed")
@@ -311,8 +298,7 @@ def _suite_core(cfg, field):
     return reports
 
 
-def _suite_rates(cfg, field):
-    grid = grid_from_config(cfg, boundary_override="neumann")
+def _suite_rates(cfg, field, grid):
     dt, _, theta, _ = time_from_config(cfg)
     r_obs = cfg.get("verify", "R_obs")
     slope_margin = cfg.get("verify", "slope_margin")
@@ -339,8 +325,7 @@ def _suite_rates(cfg, field):
             for fit, (_, k, h, cap) in zip(fits, cases)]
 
 
-def _suite_asymptotic(cfg, field):
-    grid = grid_from_config(cfg, boundary_override="neumann")
+def _suite_asymptotic(cfg, field, grid):
     dt, t_final, theta, store_every = time_from_config(cfg)
     r_obs = cfg.get("verify", "R_obs")
     longtime_tol = cfg.get("verify", "longtime_tol")
@@ -381,8 +366,7 @@ def _suite_asymptotic(cfg, field):
     return reports
 
 
-def _suite_counterexample(cfg, field):
-    grid = grid_from_config(cfg, boundary_override="neumann")
+def _suite_counterexample(cfg, field, grid):
     dt, t_final, theta, _ = time_from_config(cfg)
     mu = solve_scalar_invariant_density(field, grid)
     m = field.dim_m
@@ -398,16 +382,14 @@ def _suite_counterexample(cfg, field):
     return reports
 
 
-def cmd_verify(args):
-    cfg = parse_config(args.config)
+def cmd_verify(args, cfg):
     field = make_builtin(family_from_config(cfg))
     suite = args.suite or cfg.get("verify", "suite")
     runner = {"core": _suite_core, "rates": _suite_rates,
               "asymptotic": _suite_asymptotic,
               "counterexample": _suite_counterexample}[suite]
-    reports = runner(cfg, field)
-    atomic_write(_out_path(args, cfg, "report.txt"), _report_text(reports))
-    return 0 if all(r.passed for r in reports) else 1
+    reports = runner(cfg, field, grid_from_config(cfg, boundary_override="neumann"))
+    return _report_text(reports), 0 if all(r.passed for r in reports) else 1
 
 
 def _sweep_family(cfg, family):
@@ -429,36 +411,29 @@ def _sweep_family(cfg, family):
 
 def _sweep_row(cfg, family, ps, lyap, growth, sys=None, traj=None):
     """The summary rows of one drift family, one per L^p exponent in `ps`,
-    from its Lyapunov and growth checks and, if it passed the Lyapunov
-    check, its measure system and trajectory.
+    each a list of cells in `SWEEP_COLUMNS` order, from its Lyapunov and
+    growth checks and, if it passed the Lyapunov check, its measure system
+    and trajectory.
 
     Only the L^p bound depends on p: the rest is computed once for the family.
     """
-    rows = [{"gamma": family.gamma, "beta": family.beta, "b0": family.b0, "p": p,
-             "lyapunov": lyap.status, "growth": growth.status} for p in ps]
+    head = [fmt(family.gamma), fmt(family.beta), fmt(family.b0)]
+    checks = [lyap.status, growth.status]
     if traj is None:
-        for row in rows:
-            row.update({"invariance": "", "lp_bound": "", "longtime_err": "",
-                        "decay_rate": "", "m_f": ""})
-        return rows
-
-    inv = verify_invariance(traj, sys, inv_tol=cfg.get("verify", "inv_tol"))
+        return [head + [fmt(p)] + checks + [""] * 5 for p in ps]
+    inv = verify_invariance(traj, sys, inv_tol=cfg.get("verify", "inv_tol")).status
     longtime = verify_longtime(traj, sys, r_obs=cfg.get("verify", "R_obs")).details
-    for row in rows:
-        row.update({"invariance": inv.status,
-                    "lp_bound": verify_lp_bound(traj, sys, row["p"],
-                                                lp_tol=cfg.get("verify", "lp_tol")).status,
-                    "longtime_err": fmt(longtime["errors"][-1]),
-                    "decay_rate": fmt(longtime["decay_rate"]), "m_f": fmt(longtime["m_f"])})
-    return rows
+    fits = [fmt(longtime["errors"][-1]), fmt(longtime["decay_rate"]), fmt(longtime["m_f"])]
+    return [head + [fmt(p)] + checks
+            + [inv, verify_lp_bound(traj, sys, p, lp_tol=cfg.get("verify", "lp_tol")).status]
+            + fits for p in ps]
 
 
 SWEEP_COLUMNS = ("gamma", "beta", "b0", "p", "lyapunov", "growth",
                  "invariance", "lp_bound", "longtime_err", "decay_rate", "m_f")
 
 
-def cmd_sweep(args):
-    cfg = parse_config(args.config)
+def cmd_sweep(args, cfg):
     cfg.require_section("sweep")
     family = family_from_config(cfg)
     varied = ("gamma", "beta", "b0")
@@ -483,19 +458,9 @@ def cmd_sweep(args):
     for (fam, ps), (lyap, growth, run) in zip(families, checked):
         ran = (run[0], next(trajs)) if run is not None else ()
         rows += _sweep_row(cfg, fam, ps, lyap, growth, *ran)
-
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in SWEEP_COLUMNS:
-            value = row[col]
-            cells.append(fmt(value) if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
-    atomic_write(_out_path(args, cfg, "summary.csv"), "\n".join(lines) + "\n")
-    bad = any(row["lyapunov"] != "pass" or row["growth"] != "pass"
-              or row.get("invariance") not in ("pass", "")
-              or row.get("lp_bound") not in ("pass", "") for row in rows)
-    return 1 if bad else 0
+    text = "\n".join(map(",".join, [SWEEP_COLUMNS, *rows])) + "\n"
+    # the lyapunov, growth, invariance and lp_bound cells are each pass or empty
+    return text, 0 if all(cell in ("pass", "") for row in rows for cell in row[4:8]) else 1
 
 
 def build_parser():
@@ -505,37 +470,23 @@ def build_parser():
                     "their semigroup properties.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="certify the standing hypotheses")
-    p_check.add_argument("--config", required=True)
-    p_check.add_argument("--out", default=None)
-    p_check.add_argument("--kp", action="store_true",
-                         help="also report curvature suprema on a grid of c_p")
-    p_check.set_defaults(func=cmd_check)
+    def command(name, func, default_out, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func, default_out=default_out)
+        return p
 
-    p_sim = sub.add_parser("simulate", help="evolve the system and dump a CSV")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--nested", action="store_true",
-                       help="run the nested-domain ladder from [nest]")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_meas = sub.add_parser("measure", help="solve the invariant density")
-    p_meas.add_argument("--config", required=True)
-    p_meas.add_argument("--out", default=None)
-    p_meas.add_argument("--oracle", action="store_true",
-                        help="add the 1-D closed-form density and the difference")
-    p_meas.set_defaults(func=cmd_measure)
-
-    p_ver = sub.add_parser("verify", help="run a property suite")
-    p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--suite", choices=SUITES)
-    p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweep with a CSV summary")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
+    command("check", cmd_check, "report.txt", "certify the standing hypotheses").add_argument(
+        "--kp", action="store_true", help="also report curvature suprema on a grid of c_p")
+    command("simulate", cmd_simulate, "traj.csv", "evolve the system and dump a CSV").add_argument(
+        "--nested", action="store_true", help="run the nested-domain ladder from [nest]")
+    command("measure", cmd_measure, "density.csv", "solve the invariant density").add_argument(
+        "--oracle", action="store_true",
+        help="add the 1-D closed-form density and the difference")
+    command("verify", cmd_verify, "report.txt", "run a property suite").add_argument(
+        "--suite", choices=SUITES)
+    command("sweep", cmd_sweep, "summary.csv", "parameter sweep with a CSV summary")
     return parser
 
 
@@ -546,11 +497,15 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        cfg = parse_config(args.config)
+        text, code = args.func(args, cfg)
+        # --out wins over the [output] section, which wins over the default name
+        atomic_write(args.out or cfg.get("output", "out") or args.default_out, text)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolveError, RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

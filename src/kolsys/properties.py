@@ -382,7 +382,7 @@ def verify_cesaro_identity(op, traj: Trajectory, r_obs=3.0) -> PropertyReport:
     if n < 2 or abs(t_end - n) > 1e-9:
         raise ValueError(f"the Cesaro identity needs a run to an integer n >= 2, not {t_end:g}")
     dt, theta = traj.dt, traj.theta
-    traj_1 = evolve(op, traj.snapshots[0], 1.0, dt=dt, theta=theta,
+    traj_1 = evolve(op, GridFunction(traj.grid, traj.values[0]), 1.0, dt=dt, theta=theta,
                     store_every=max(1, int(0.01 / dt)))
     r_n = discrete_average(op, cesaro_average(traj_1), n, dt=dt, theta=theta)
     window = traj.grid.window_mask(r_obs)

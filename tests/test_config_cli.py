@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import stat
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kolsys.cli import atomic_write, run
+from kolsys.cli import atomic_write, build_parser, run
 from kolsys.config import SCHEMA, ConfigError, parse_config, time_from_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -393,13 +394,87 @@ def test_sweep_cap_exceeded(tmp_path):
     assert run(["sweep", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
 
-def test_output_section_default_path(tmp_path, monkeypatch):
-    path = tmp_path / "cfg.cfg"
-    path.write_text(FAST_CFG + f"\n[output]\nout = {tmp_path / 'from_cfg.txt'}\n")
+# every command on a small grid with its default output name; verify runs
+# its cheapest suite
+COMMANDS = [("check", [], "report.txt"), ("simulate", [], "traj.csv"),
+            ("measure", [], "density.csv"),
+            ("verify", ["--suite", "counterexample"], "report.txt"),
+            ("sweep", [], "summary.csv")]
+each_command = pytest.mark.parametrize("command,extra,default", COMMANDS,
+                                       ids=[command for command, *_ in COMMANDS])
+SMALL_CFG = (FAST_CFG.replace("n_per_axis = 161", "n_per_axis = 81")
+             .replace("t_final = 2.0", "t_final = 0.2") + "\n[sweep]\np = 2\n")
+
+
+@pytest.fixture
+def small_cfg(tmp_path, monkeypatch):
+    """Write the small config in an empty working directory; `out` adds an
+    [output] section naming a file there."""
     monkeypatch.chdir(tmp_path)
-    code = run(["check", "--config", str(path)])
-    assert code == 0
-    assert (tmp_path / "from_cfg.txt").exists()
+
+    def write(out=None, text=SMALL_CFG):
+        path = tmp_path / "small.cfg"
+        path.write_text(text + (f"\n[output]\nout = {tmp_path / out}\n" if out else ""))
+        return str(path)
+    return write
+
+
+@each_command
+def test_command_writes_its_default_file(small_cfg, tmp_path, command, extra, default):
+    assert run([command, "--config", small_cfg()] + extra) in (0, 1)
+    assert sorted(os.listdir(tmp_path)) == sorted([default, "small.cfg"])
+
+
+@each_command
+def test_output_section_wins_over_the_default_name(small_cfg, tmp_path, command, extra,
+                                                   default):
+    assert run([command, "--config", small_cfg(out="from_cfg.out")] + extra) in (0, 1)
+    assert sorted(os.listdir(tmp_path)) == ["from_cfg.out", "small.cfg"]
+
+
+@each_command
+def test_out_flag_wins_over_the_output_section(small_cfg, tmp_path, command, extra, default):
+    code = run([command, "--config", small_cfg(out="from_cfg.out"),
+                "--out", str(tmp_path / "from_flag.out")] + extra)
+    assert code in (0, 1)
+    assert sorted(os.listdir(tmp_path)) == ["from_flag.out", "small.cfg"]
+
+
+@each_command
+def test_command_that_exits_2_writes_nothing(small_cfg, tmp_path, capsys, command, extra,
+                                             default):
+    # every command builds the [problem] field, which rejects b0 <= 0
+    path = small_cfg(out="from_cfg.out", text=SMALL_CFG.replace("b0 = 1.0", "b0 = -1.0"))
+    assert run([command, "--config", path] + extra) == 2
+    assert "b0 must be positive" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["small.cfg"]
+
+
+def test_measure_oracle_at_d2_exits_2_before_the_density_solve(tmp_path, monkeypatch,
+                                                                 capsys):
+    def solve(*_):
+        raise AssertionError("the density was solved before --oracle was refused")
+    monkeypatch.setattr("kolsys.cli.solve_scalar_invariant_density", solve)
+    path = tmp_path / "d2.cfg"
+    path.write_text("[problem]\nd = 2\nm = 2\n\n[grid]\nL = 2.0\nn_per_axis = 21\n")
+    out = tmp_path / "density.csv"
+    assert run(["measure", "--config", str(path), "--out", str(out), "--oracle"]) == 2
+    assert capsys.readouterr().err == "config error: --oracle requires d = 1\n"
+    assert not out.exists()
+
+
+def test_readme_command_line_lists_every_subcommand_and_flag():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+              for line in block.splitlines() if line.startswith("kolsys ")}
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {opt for action in parser._actions for opt in action.option_strings
+                    if opt.startswith("--") and opt != "--help"}
+             for name, parser in subparsers.choices.items()}
+    assert listed == flags
 
 
 def test_no_temp_files_left(fast_cfg, tmp_path):
