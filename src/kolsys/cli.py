@@ -14,10 +14,14 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import os
+import pickle
 import secrets
+import signal
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -73,7 +77,7 @@ from kolsys.properties import (
     verify_semigroup_bounds,
 )
 from kolsys.reports import CheckRecord
-from kolsys.semigroup import evolve, solve_nested
+from kolsys.semigroup import evolve, nested_ladder, solve_nested
 
 
 def fmt(x):
@@ -233,6 +237,99 @@ def cmd_measure(args, cfg):
     return ",".join(header) + "\n" + _rows([_node_cells(grid)], np.array(columns)) + "\n", 0
 
 
+# True only in a process forked by _concurrently, which then runs any tasks
+# of its own in order: workers do not fork again
+_IN_WORKER = False
+
+
+def _worker(task):
+    """Fork a worker that runs `task` and pickles (ok, result or exception)
+    to a pipe; returns its pid and the pipe's read end."""
+    global _IN_WORKER
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    _IN_WORKER, code = True, 1
+    try:
+        os.close(r)
+        try:
+            out = (True, task())
+        except BaseException as exc:
+            out = (False, exc)
+        try:
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, RuntimeError(f"unpicklable result: {exc}")))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _concurrently(tasks):
+    """The results of the zero-argument callables `tasks`, in order.
+
+    The first task runs in this process and every other one in a worker
+    forked for it, at most one worker fewer than the usable cores at a
+    time; results come back pickled over a pipe.  Each task computes what
+    it would compute in the serial run, so the results are the same bits.
+    Every task runs here, in order, when one core is usable (or the
+    platform cannot fork or tell), when another Python thread runs
+    (forking it could deadlock), or inside a worker.  As in the serial run,
+    the exception of the earliest failing task is raised, with its type
+    and message, and no later task starts; every worker is reaped before
+    this returns or raises.
+    """
+    tasks = list(tasks)
+    cores = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    if _IN_WORKER or cores < 2 or len(tasks) < 2 or threading.active_count() > 1:
+        return [task() for task in tasks]
+    todo = collections.deque(enumerate(tasks[1:], start=1))
+    running = collections.deque()       # (index, pid, read end), in task order
+
+    def start():
+        while todo and len(running) < cores - 1:
+            i, task = todo.popleft()
+            running.append((i, *_worker(task)))
+
+    results = []
+    try:
+        start()
+        results.append(tasks[0]())
+        while running:
+            i, pid, fh = running[0]
+            try:
+                ok, value = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):   # it died before it wrote it all
+                ok = None
+            _, status = os.waitpid(pid, 0)
+            running.popleft()
+            fh.close()
+            if ok is None:
+                raise RuntimeError(f"task {i} ({getattr(tasks[i], '__qualname__', tasks[i])}) "
+                                   f"ended without a result, exit status "
+                                   f"{os.waitstatus_to_exitcode(status)}")
+            if not ok:
+                raise value
+            results.append(value)
+            start()
+        return results
+    finally:
+        for _, pid, fh in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
+
+
 def _measure_pipeline(cfg, field, grid):
     spec = _sample_spec(cfg)
     xi = compute_common_kernel(field, spec)
@@ -245,57 +342,58 @@ def _suite_core(cfg, field, grid):
     r_obs = cfg.get("verify", "R_obs")
     seed = cfg.get("run", "seed")
     xi, mu, sys = _measure_pipeline(cfg, field, grid)
-    reports = []
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-grid.L, grid.L, size=(1000, grid.d))
-    reports.append(spectral_check_C(field, pts))
-
-    # eta: the unit direction of e1 orthogonal to the kernel vector
-    eta = np.eye(field.dim_m)[0] - xi.xi[0] * xi.xi
-    xi_gf = grid_function_from_callable(grid, lambda _: list(xi.xi))
-    eta_gf = grid_function_from_callable(grid, lambda _: list(eta / np.linalg.norm(eta)))
-    sine = grid_function_from_callable(
-        grid, lambda x: [np.sin(x[..., 0])] * field.dim_m, m=field.dim_m)
-    reports.append(verify_fixed_points(
-        field, grid, [(xi_gf, True), (eta_gf, False), (sine, False)], dt=dt,
-        theta=theta, fp_tol=cfg.get("verify", "fp_tol"),
-        fp_gap=cfg.get("verify", "fp_gap")))
-
+    spectral = spectral_check_C(field, pts)
     op = assemble_system_operator(field, grid)
     op_s = assemble_scalar_operator(field, grid)
 
-    pos_datum = grid_function_from_callable(
-        grid, lambda x: [np.exp(-rowdot(x, x))] + [0.0] * (field.dim_m - 1),
-        m=field.dim_m)
-    t_pos = max(1.0, min(2.0, t_final))
-    traj_pos = evolve(op, pos_datum, t_pos, dt=dt, theta=1.0,
-                      store_times=[t_pos / 2, 1.0, t_pos])
-    reports.append(verify_positivity(
-        traj_pos, pos_tol=cfg.get("verify", "pos_tol"), r_obs=r_obs))
+    def fixed_points_positivity_bounds():
+        # eta: the unit direction of e1 orthogonal to the kernel vector
+        eta = np.eye(field.dim_m)[0] - xi.xi[0] * xi.xi
+        xi_gf = grid_function_from_callable(grid, lambda _: list(xi.xi))
+        eta_gf = grid_function_from_callable(grid, lambda _: list(eta / np.linalg.norm(eta)))
+        sine = grid_function_from_callable(
+            grid, lambda x: [np.sin(x[..., 0])] * field.dim_m, m=field.dim_m)
+        reports = [verify_fixed_points(
+            field, grid, [(xi_gf, True), (eta_gf, False), (sine, False)], dt=dt,
+            theta=theta, fp_tol=cfg.get("verify", "fp_tol"),
+            fp_gap=cfg.get("verify", "fp_gap"))]
 
-    f = data_from_config(cfg, grid, field.dim_m)
-    absf2 = GridFunction(grid, np.sum(f.values ** 2, axis=0))
-    dom_tol = cfg.get("verify", "dom_tol")
-    traj_v1 = evolve(op, f, t_final, dt=dt, theta=1.0)
-    traj_s1 = evolve(op_s, absf2, t_final, dt=dt, theta=1.0)
-    reports.append(verify_semigroup_bounds(traj_v1, traj_s1, p=2.0,
-                                           dom_tol=dom_tol, sup_tol=dom_tol))
+        pos_datum = grid_function_from_callable(
+            grid, lambda x: [np.exp(-rowdot(x, x))] + [0.0] * (field.dim_m - 1),
+            m=field.dim_m)
+        t_pos = max(1.0, min(2.0, t_final))
+        traj_pos = evolve(op, pos_datum, t_pos, dt=dt, theta=1.0,
+                          store_times=[t_pos / 2, 1.0, t_pos])
+        reports.append(verify_positivity(
+            traj_pos, pos_tol=cfg.get("verify", "pos_tol"), r_obs=r_obs))
 
-    inv_tol = cfg.get("verify", "inv_tol")
-    check_times = sorted({min(0.1, t_final), min(1.0, t_final), t_final})
-    traj_v = evolve(op, f, t_final, dt=dt, theta=theta, store_times=check_times)
-    reports.append(verify_invariance(traj_v, sys, inv_tol=inv_tol))
+        f = data_from_config(cfg, grid, field.dim_m)
+        absf2 = GridFunction(grid, np.sum(f.values ** 2, axis=0))
+        dom_tol = cfg.get("verify", "dom_tol")
+        traj_v1 = evolve(op, f, t_final, dt=dt, theta=1.0)
+        traj_s1 = evolve(op_s, absf2, t_final, dt=dt, theta=1.0)
+        reports.append(verify_semigroup_bounds(traj_v1, traj_s1, p=2.0,
+                                               dom_tol=dom_tol, sup_tol=dom_tol))
+        return reports
 
-    scalars = [grid_function_from_callable(grid, DATA_BUILDERS[name], m=1)
-               for name in ("tanh", "gauss")]
-    reports.append(verify_scalar_invariance(
-        evolve(op_s, scalars, t_final, dt=dt, theta=theta, store_times=check_times), mu))
+    def invariance():
+        f = data_from_config(cfg, grid, field.dim_m)
+        check_times = sorted({min(0.1, t_final), min(1.0, t_final), t_final})
+        traj_v = evolve(op, f, t_final, dt=dt, theta=theta, store_times=check_times)
+        reports = [verify_invariance(traj_v, sys, inv_tol=cfg.get("verify", "inv_tol"))]
+        scalars = [grid_function_from_callable(grid, DATA_BUILDERS[name], m=1)
+                   for name in ("tanh", "gauss")]
+        reports.append(verify_scalar_invariance(
+            evolve(op_s, scalars, t_final, dt=dt, theta=theta, store_times=check_times), mu))
+        lp_tol = cfg.get("verify", "lp_tol")
+        return reports + [verify_lp_bound(traj_v, sys, p, lp_tol=lp_tol) for p in (1.0, 2.0, 4.0)]
 
-    lp_tol = cfg.get("verify", "lp_tol")
-    for p in (1.0, 2.0, 4.0):
-        reports.append(verify_lp_bound(traj_v, sys, p, lp_tol=lp_tol))
-    return reports
+    # two independent groups of runs: the first here, the second in a worker
+    first, second = _concurrently([fixed_points_positivity_bounds, invariance])
+    return [spectral] + first + second
 
 
 def _suite_rates(cfg, field, grid):
@@ -327,43 +425,56 @@ def _suite_rates(cfg, field, grid):
 
 def _suite_asymptotic(cfg, field, grid):
     dt, t_final, theta, store_every = time_from_config(cfg)
-    r_obs = cfg.get("verify", "R_obs")
-    longtime_tol = cfg.get("verify", "longtime_tol")
-    xi, mu, sys = _measure_pipeline(cfg, field, grid)
-    op = assemble_system_operator(field, grid)
-    reports = []
-
-    e1 = grid_function_from_callable(grid, lambda _: [1.0] + [0.0] * (field.dim_m - 1))
-    bumps = [bump_function([0.0] * grid.d, 2.0), bump_function([0.5] * grid.d, 1.5)]
-    fb = grid_function_from_callable(
-        grid, lambda x: [bumps[k % len(bumps)](x) for k in range(field.dim_m)],
-        m=field.dim_m)
     # the Cesaro check below needs f run to t = n: with t_final = n that run
     # joins the block, and the nested ladder reuses it for its rung on this grid
     n = max(2, int(t_final))
-    f = data_from_config(cfg, grid, field.dim_m)
-    data = [e1, fb] + ([f] if float(n) == t_final else [])
-    traj, traj_b, *runs_f = evolve(op, data, t_final, dt=dt, theta=theta,
-                                   store_every=store_every)
-    traj_f = runs_f[0] if runs_f else evolve(op, f, float(n), dt=dt, theta=theta,
-                                             store_every=store_every)
+    f_in_block = float(n) == t_final
 
-    reports.append(verify_longtime(traj, sys, r_obs=r_obs,
-                                   longtime_tol=longtime_tol))
-    spec = _sample_spec(cfg)
-    bundle = derivative_bundle(field)
-    mu0 = float(np.min(bundle.mu_q(spec.points(field.dim_d)[::4])))
-    reports.append(verify_l2_gradient_decay(traj_b, mu, mu0=mu0))
-    reports.append(verify_cesaro_identity(op, traj_f, r_obs))
+    def block():
+        r_obs = cfg.get("verify", "R_obs")
+        xi, mu, sys = _measure_pipeline(cfg, field, grid)
+        op = assemble_system_operator(field, grid)
+        e1 = grid_function_from_callable(grid, lambda _: [1.0] + [0.0] * (field.dim_m - 1))
+        bumps = [bump_function([0.0] * grid.d, 2.0), bump_function([0.5] * grid.d, 1.5)]
+        fb = grid_function_from_callable(
+            grid, lambda x: [bumps[k % len(bumps)](x) for k in range(field.dim_m)],
+            m=field.dim_m)
+        f = data_from_config(cfg, grid, field.dim_m)
+        data = [e1, fb] + ([f] if f_in_block else [])
+        traj, traj_b, *runs_f = evolve(op, data, t_final, dt=dt, theta=theta,
+                                       store_every=store_every)
+        traj_f = runs_f[0] if runs_f else evolve(op, f, float(n), dt=dt, theta=theta,
+                                                 store_every=store_every)
 
-    if cfg.has_section("nest"):
-        ladder = ladder_from_config(cfg)
-        nest_tol = cfg.get("nest", "nest_tol")
-        result = solve_nested(field, data_callable(cfg, field.dim_m), t_final,
-                              ladder, nest_tol, cfg.get("nest", "R_obs"), dt=dt, theta=theta,
-                              store_every=store_every, runs=runs_f)
-        reports.append(verify_nested_convergence(result, nest_tol))
-    return reports
+        reports = [verify_longtime(traj, sys, r_obs=r_obs,
+                                   longtime_tol=cfg.get("verify", "longtime_tol"))]
+        spec = _sample_spec(cfg)
+        bundle = derivative_bundle(field)
+        mu0 = float(np.min(bundle.mu_q(spec.points(field.dim_d)[::4])))
+        reports.append(verify_l2_gradient_decay(traj_b, mu, mu0=mu0))
+        reports.append(verify_cesaro_identity(op, traj_f, r_obs))
+        return reports, runs_f
+
+    def ladder():
+        # one stack of the ladder's runs that the block does not provide
+        grids, data = nested_ladder(field, data_callable(cfg, field.dim_m),
+                                    ladder_from_config(cfg), cfg.get("nest", "R_obs"))
+        key = (grid.L, grid.n_per_axis, grid.boundary_kind)
+        todo = [(g, f) for g, f in zip(grids, data)
+                if not (f_in_block and (g.L, g.n_per_axis, g.boundary_kind) == key)]
+        return evolve([assemble_system_operator(field, g) for g, _ in todo],
+                      [f for _, f in todo], t_final, dt=dt, theta=theta,
+                      store_every=store_every)
+
+    if not cfg.has_section("nest"):
+        return block()[0]
+    (reports, runs_f), stack = _concurrently([block, ladder])
+    nest_tol = cfg.get("nest", "nest_tol")
+    # every run of the ladder is in runs_f or the stack: solve_nested evolves nothing
+    result = solve_nested(field, data_callable(cfg, field.dim_m), t_final,
+                          ladder_from_config(cfg), nest_tol, cfg.get("nest", "R_obs"), dt=dt,
+                          theta=theta, store_every=store_every, runs=runs_f + stack)
+    return reports + [verify_nested_convergence(result, nest_tol)]
 
 
 def _suite_counterexample(cfg, field, grid):
@@ -371,12 +482,15 @@ def _suite_counterexample(cfg, field, grid):
     mu = solve_scalar_invariant_density(field, grid)
     m = field.dim_m
     family = family_from_config(cfg)
-    reports = []
     f = grid_function_from_callable(grid, lambda _: [1.0 / np.sqrt(m)] * m)
-    for C0 in (np.eye(m), -np.eye(m)):
+
+    def mode(C0):
         cfield = make_builtin(replace(family, coupling_kind="constant_matrix", C0=C0))
-        reports.append(counterexample_mode(cfield, f, t_final=min(t_final, 5.0),
-                                           dt=dt, theta=theta, mu_hat=mu))
+        return counterexample_mode(cfield, f, t_final=min(t_final, 5.0),
+                                   dt=dt, theta=theta, mu_hat=mu)
+
+    # C0 = I here, C0 = -I in a worker
+    reports = _concurrently([lambda: mode(np.eye(m)), lambda: mode(-np.eye(m))])
     reports.append(jordan_asymptotics_check(field.C(np.zeros(field.dim_d)), np.eye(m)[0],
                                             np.linspace(0.0, 8.0, 17)))
     return reports

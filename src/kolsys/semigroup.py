@@ -65,6 +65,12 @@ class Trajectory:
             raise ValueError("values must have shape (n_times, m, N)")
         v.setflags(write=False)
 
+    def __setstate__(self, state):
+        # unpickling bypasses __post_init__: a run received from another
+        # process is read-only as well
+        self.__dict__.update(state)
+        self.values.setflags(write=False)
+
     @property
     def m(self):
         return self.values.shape[1]
@@ -423,6 +429,26 @@ def _same_run(runs, grid, f, dt, theta, times):
     return None
 
 
+def nested_ladder(field, f_fn, ladder, r_obs, boundary_kind="neumann"):
+    """The grids of a nested ladder and the datum on each, checked as
+    solve_nested needs them: the rungs in order, then the final rung's twin
+    with the other boundary condition, and f_fn sampled on each grid."""
+    if len(ladder) < 2:
+        raise ValueError("ladder needs at least two rungs")
+    Ls = [entry[0] for entry in ladder]
+    if any(b <= a for a, b in zip(Ls, Ls[1:])):
+        raise ValueError("ladder must be strictly increasing in L")
+    if r_obs >= min(Ls):
+        raise ValueError("observation radius must be smaller than the smallest box")
+    other = "dirichlet" if boundary_kind == "neumann" else "neumann"
+    grids = [build_grid(field.dim_d, L, n, boundary_kind) for L, n in ladder]
+    grids.append(build_grid(field.dim_d, *ladder[-1], other))
+    hs = [grid.h for grid in grids]
+    if max(hs) - min(hs) > 1e-9 * max(hs):
+        raise ValueError("ladder rungs must share the grid spacing h")
+    return grids, [grid_function_from_callable(grid, f_fn, m=field.dim_m) for grid in grids]
+
+
 def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0.5,
                  boundary_kind="neumann", store_every=None, runs=()) -> NestedSolveResult:
     """Evolve on an increasing ladder of boxes and track window discrepancies.
@@ -434,37 +460,21 @@ def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0
     semigroup).
 
     `runs` may hold trajectories the caller has already evolved with this
-    field to t_final (for example as one column of a batch).  A rung whose
-    grid, initial values, dt, theta and stored times match one of them takes
-    it as its run instead of evolving again; the field is the caller's word.
-    Every other rung and the twin evolve in one call, as the blocks of one
-    stack (see evolve).
+    field to t_final (for example as one column of a batch).  A rung or the
+    twin whose grid, initial values, dt, theta and stored times match one of
+    them takes it as its run instead of evolving again; the field is the
+    caller's word.  Every other run evolves in one call, as the blocks of
+    one stack (see evolve); when `runs` holds them all, nothing evolves.
     """
-    if len(ladder) < 2:
-        raise ValueError("ladder needs at least two rungs")
-    Ls = [entry[0] for entry in ladder]
-    if any(b <= a for a, b in zip(Ls, Ls[1:])):
-        raise ValueError("ladder must be strictly increasing in L")
-    if r_obs >= min(Ls):
-        raise ValueError("observation radius must be smaller than the smallest box")
-
+    grids, data = nested_ladder(field, f_fn, ladder, r_obs, boundary_kind)
     n_steps = max(1, int(round(t_final / dt)))
     times = np.array([k * dt for k in _store_steps(n_steps, dt, store_every, None)])
-    other = "dirichlet" if boundary_kind == "neumann" else "neumann"
-    # the rungs, then the final rung's twin with the other boundary condition
-    grids = [build_grid(field.dim_d, L, n, boundary_kind) for L, n in ladder]
-    grids.append(build_grid(field.dim_d, *ladder[-1], other))
-    hs = [grid.h for grid in grids]
-    if max(hs) - min(hs) > 1e-9 * max(hs):
-        raise ValueError("ladder rungs must share the grid spacing h")
-    data = [grid_function_from_callable(grid, f_fn, m=field.dim_m) for grid in grids]
-    trajectories = [_same_run(runs, grid, f, dt, theta, times)
-                    for grid, f in zip(grids[:-1], data)] + [None]
+    trajectories = [_same_run(runs, grid, f, dt, theta, times) for grid, f in zip(grids, data)]
     # every run not taken from `runs` steps in one stack
     todo = [i for i, traj in enumerate(trajectories) if traj is None]
     stack = evolve([assemble_system_operator(field, grids[i]) for i in todo],
                    [data[i] for i in todo], t_final, dt=dt, theta=theta,
-                   store_every=store_every)
+                   store_every=store_every) if todo else []
     for i, traj in zip(todo, stack):
         trajectories[i] = traj
     *rungs, traj_o = trajectories

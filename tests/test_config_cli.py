@@ -1,14 +1,17 @@
 import argparse
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from kolsys.cli import atomic_write, build_parser, run
+import kolsys.cli as cli
+from kolsys.cli import _concurrently, atomic_write, build_parser, run
 from kolsys.config import SCHEMA, ConfigError, parse_config, time_from_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -506,3 +509,116 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# -- _concurrently: independent tasks, the first here and the others in forked workers
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Pretend this process may run on `n` cores; a test that waits on its
+    workers for a minute fails instead of hanging."""
+    def set_cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def expire(signum, frame):
+        raise TimeoutError("still waiting on a worker after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield set_cores
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _square(k):
+    return lambda: (k * k, np.arange(k, dtype=float) / 3.0, os.getpid())
+
+
+@pytest.mark.parametrize("n_cores", [2, 3])
+def test_concurrently_returns_the_serial_results_in_task_order(cores, n_cores):
+    cores(n_cores)
+    tasks = [_square(k) for k in range(5)]
+    got = _concurrently(tasks)
+    want = [task() for task in tasks]
+    assert [g[0] for g in got] == [w[0] for w in want] == [0, 1, 4, 9, 16]
+    assert all(np.array_equal(g[1], w[1]) for g, w in zip(got, want))
+    # the first task ran here, every other one in a worker of its own
+    pids = [g[2] for g in got]
+    assert pids[0] == os.getpid() and len(set(pids[1:]) - {os.getpid()}) == 4
+    assert _no_child_left()
+
+
+def _fail(exc, delay=0.0):
+    def task():
+        time.sleep(delay)
+        raise exc
+    return task
+
+
+def test_concurrently_reraises_a_worker_exception_with_its_type_and_message(cores):
+    cores(2)
+    with pytest.raises(ConfigError, match=r"^line 7: bad ladder$") as info:
+        _concurrently([_square(2), _fail(ConfigError("bad ladder", 7))])
+    assert type(info.value) is ConfigError and info.value.line == 7
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("n_cores", [2, 3])
+def test_concurrently_raises_the_earliest_failure(cores, n_cores):
+    # with three cores tasks 1 and 2 run at once, and task 2 fails first
+    cores(n_cores)
+    with pytest.raises(ValueError, match="task 1"):
+        _concurrently([_square(2), _fail(ValueError("task 1"), delay=0.3),
+                       _fail(KeyError("task 2")), _square(3)])
+    assert _no_child_left()
+    # a failure here, in the first task, wins over every worker's
+    with pytest.raises(RuntimeError, match="task 0"):
+        _concurrently([_fail(RuntimeError("task 0"), delay=0.3), _fail(ValueError("task 1"))])
+    assert _no_child_left()
+
+
+def test_concurrently_runs_serially_on_one_core_and_inside_a_worker(cores, monkeypatch):
+    pids = [lambda: os.getpid()] * 3
+    cores(1)
+    assert _concurrently(pids) == [os.getpid()] * 3
+    cores(2)
+    nested = _concurrently([lambda: None, lambda: (os.getpid(), _concurrently(pids))])[1]
+    assert nested[1] == [nested[0]] * 3 and nested[0] != os.getpid()
+    # and it forks nothing while another Python thread runs
+    monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
+    assert _concurrently(pids) == [os.getpid()] * 3
+    assert _no_child_left()
+
+
+def test_concurrently_names_a_worker_that_died_without_a_result(cores):
+    cores(2)
+
+    def dies():
+        os._exit(3)
+
+    with pytest.raises(RuntimeError, match=r"task 1 \(.*dies\) ended without a result, "
+                                           r"exit status 3"):
+        _concurrently([_square(2), dies])
+    assert _no_child_left()
+
+
+def test_verify_error_in_a_worker_matches_the_serial_run(tmp_path, cores, capsys):
+    # the ladder's rungs do not share h: the ladder task, a worker's, raises
+    path = tmp_path / "asy.cfg"
+    path.write_text(FAST_CFG.replace("[verify]", "[nest]\nladder = 4:161, 6:201\n"
+                                     "nest_tol = 1e-1\nR_obs = 3.0\n\n[verify]"))
+    seen = []
+    for n_cores in (2, 1):
+        cores(n_cores)
+        code = run(["verify", "--config", str(path), "--suite", "asymptotic",
+                    "--out", str(tmp_path / "report.txt")])
+        seen.append((code, capsys.readouterr().err))
+        assert _no_child_left()
+    assert seen[0] == seen[1] == (2, "error: ladder rungs must share the grid spacing h\n")
+    assert not (tmp_path / "report.txt").exists()

@@ -15,6 +15,8 @@ operation moved it and by how much.
 """
 
 import hashlib
+import multiprocessing
+import os
 
 import pytest
 
@@ -161,10 +163,23 @@ def test_output_bytes_pinned(tmp_path, name):
     assert (code, digest) == (want_code, want_digest)
 
 
+@pytest.mark.parametrize("name", ["verify-asymptotic", "verify-core", "verify-counterexample"])
+def test_output_bytes_pinned_on_one_core(tmp_path, monkeypatch, name):
+    # these suites run independent groups of runs in forked workers; on one
+    # core every group runs in this process, and the bytes are the same
+    def no_fork():
+        raise AssertionError("forked on one core")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    test_output_bytes_pinned(tmp_path, name)
+
+
 # (steps, run-steps) of each d = 1 suite on the configs above: each distinct
-# run happens once, data that share an operator share their steps, and runs
-# on stacked operators share them too.  A run-step is one datum on one
-# operator advanced by one step.
+# run happens once, in the command's process or in one of its workers, data
+# that share an operator share their steps, and runs on stacked operators
+# share them too.  A run-step is one datum on one operator advanced by one
+# step.
 STEP_COUNTS = {
     # fixed points 3 x 250 in one block; positivity 500; theta = 1 system and
     # scalar 750 each; invariance 750; tanh and gauss 2 x 750 in one block
@@ -180,17 +195,19 @@ STEP_COUNTS = {
 
 @pytest.mark.parametrize("suite", sorted(STEP_COUNTS))
 def test_each_distinct_run_steps_once(tmp_path, monkeypatch, suite):
-    counts = [0, 0]
+    # shared memory made before the suite forks: a worker's steps count here too
+    counts = multiprocessing.Array("q", 2)
     real_step = ThetaStepper.step
 
     def counting_step(self, u):
         x = real_step(self, u)
-        counts[0] += 1
-        counts[1] += (x.shape[1] if x.ndim == 2 else 1) * len(self.blocks)
+        with counts.get_lock():
+            counts[0] += 1
+            counts[1] += (x.shape[1] if x.ndim == 2 else 1) * len(self.blocks)
         return x
 
     monkeypatch.setattr(ThetaStepper, "step", counting_step)
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(GOLDEN[f"verify-{suite}"][1])
     run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out.txt"), "--suite", suite])
-    assert tuple(counts) == STEP_COUNTS[suite]
+    assert tuple(counts[:]) == STEP_COUNTS[suite]

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 from types import SimpleNamespace
 
@@ -229,6 +230,17 @@ def test_trajectory_values_read_only():
     with pytest.raises(ValueError, match="n_times, m, N"):
         Trajectory(times=np.array([0.0]), values=np.ones((2, 1, grid.n_nodes)), grid=grid,
                    dt=1.0, theta=0.5, boundary_kind="dirichlet")
+
+
+def test_trajectory_stays_read_only_through_pickle():
+    # a run received from a worker process is unpickled, which bypasses __post_init__
+    grid = build_grid(1, 6.0, 41, "neumann")
+    op = assemble_system_operator(exchange2_field(), grid)
+    traj = evolve(op, grid_function_from_callable(grid, tanh_gauss), t_final=0.1, dt=1e-2)
+    back = pickle.loads(pickle.dumps(traj, pickle.HIGHEST_PROTOCOL))
+    assert _same_trajectory(back, traj)
+    with pytest.raises(ValueError, match="read-only"):
+        back.values[1, 0, 5] = 1.0
 
 
 @pytest.mark.parametrize("store_every", [0, -5])
@@ -730,6 +742,24 @@ def test_nested_stacks_only_the_runs_it_does_not_reuse(monkeypatch):
                  nest_tol=1e-8, r_obs=3.0, dt=1e-3, runs=[run])
     [(ops, _, _)] = calls
     assert [(o.grid.L, o.boundary_kind) for o in ops] == [(4.0, "neumann"), (6.0, "dirichlet")]
+
+
+def test_nested_takes_every_run_from_runs_and_evolves_none(monkeypatch):
+    # the rungs and the Dirichlet twin, evolved elsewhere as one stack
+    field = exchange2_field()
+    kwargs = dict(t_final=0.02, ladder=[(4.0, 161), (6.0, 241)], nest_tol=1e-8, r_obs=3.0,
+                  dt=1e-3)
+    plain = solve_nested(field, tanh_gauss, **kwargs)
+    grids, data = semigroup.nested_ladder(field, tanh_gauss, kwargs["ladder"], 3.0)
+    assert [(g.L, g.boundary_kind) for g in grids] == \
+        [(4.0, "neumann"), (6.0, "neumann"), (6.0, "dirichlet")]
+    runs = evolve([assemble_system_operator(field, g) for g in grids], data, 0.02, dt=1e-3)
+    calls = _stack_recorder(monkeypatch)
+    result = solve_nested(field, tanh_gauss, runs=runs, **kwargs)
+    assert calls == []
+    assert result.trajectory is runs[1]
+    assert (result.discrepancies, result.dirichlet_neumann_gap) == \
+        (plain.discrepancies, plain.dirichlet_neumann_gap)
 
 
 def _stack():
