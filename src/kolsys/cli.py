@@ -206,9 +206,15 @@ def cmd_simulate(args, cfg):
         nest_tol = cfg.get("nest", "nest_tol")
         r_obs = cfg.get("nest", "R_obs")
         boundary = cfg.get("grid", "boundary")
-        result = solve_nested(field, data_callable(cfg, field.dim_m), t_final,
-                              ladder, nest_tol, r_obs, dt=dt, theta=theta,
-                              boundary_kind=boundary, store_every=store_every)
+        f_fn = data_callable(cfg, field.dim_m)
+        # solve_nested takes every run from `runs` and evolves nothing.  No
+        # local keeps the runs: the coarser rungs are freed before the CSV
+        # is formatted
+        result = solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=dt,
+                              theta=theta, boundary_kind=boundary, store_every=store_every,
+                              runs=_ladder_runs(field, *nested_ladder(field, f_fn, ladder, r_obs,
+                                                                      boundary),
+                                                t_final, dt, theta, store_every))
         for k, disc in enumerate(result.discrepancies, start=1):
             print(f"rung {k} discrepancy = {fmt(disc)}")
         print(f"dirichlet_neumann_gap = {fmt(result.dirichlet_neumann_gap)}")
@@ -274,6 +280,45 @@ def _worker(task):
         os._exit(code)
 
 
+def _usable_cores():
+    """The cores _concurrently may run tasks on: 1, so that every task runs
+    in this process, when one core is usable (or the platform cannot fork or
+    tell), when another Python thread runs (forking it could deadlock), or
+    inside a worker."""
+    if _IN_WORKER or threading.active_count() > 1 or not hasattr(os, "fork") \
+            or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _balanced(ops, n):
+    """The indices of `ops` split into at most n stacks, balanced by rows:
+    each operator, largest first, joins the stack with the fewest rows so
+    far.  Each stack lists its indices in order; empty stacks are dropped."""
+    stacks = [[] for _ in range(n)]
+    rows = [0] * n
+    for i in sorted(range(len(ops)), key=lambda i: -ops[i].matrix.shape[0]):
+        k = rows.index(min(rows))
+        stacks[k].append(i)
+        rows[k] += ops[i].matrix.shape[0]
+    return [sorted(s) for s in stacks if s]
+
+
+def _ladder_runs(field, grids, data, t_final, dt, theta, store_every):
+    """The runs of the system operator of `field` on each of `grids` from
+    the datum of `data` on it, as row-balanced stacks (`_balanced`), one per
+    usable core, each evolved as one task of `_concurrently`; the runs come
+    stack by stack."""
+    ops = [assemble_system_operator(field, g) for g in grids]
+
+    def stack(rows):
+        return lambda: evolve([ops[i] for i in rows], [data[i] for i in rows], t_final,
+                              dt=dt, theta=theta, store_every=store_every)
+
+    stacks = _concurrently([stack(rows) for rows in _balanced(ops, _usable_cores())])
+    return list(itertools.chain.from_iterable(stacks))
+
+
 def _concurrently(tasks):
     """The results of the zero-argument callables `tasks`, in order.
 
@@ -281,17 +326,14 @@ def _concurrently(tasks):
     forked for it, at most one worker fewer than the usable cores at a
     time; results come back pickled over a pipe.  Each task computes what
     it would compute in the serial run, so the results are the same bits.
-    Every task runs here, in order, when one core is usable (or the
-    platform cannot fork or tell), when another Python thread runs
-    (forking it could deadlock), or inside a worker.  As in the serial run,
-    the exception of the earliest failing task is raised, with its type
-    and message, and no later task starts; every worker is reaped before
-    this returns or raises.
+    Every task runs here, in order, when `_usable_cores()` is 1.  As in the
+    serial run, the exception of the earliest failing task is raised, with
+    its type and message, and no later task starts; every worker is reaped
+    before this returns or raises.
     """
     tasks = list(tasks)
-    cores = len(os.sched_getaffinity(0)) \
-        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    if _IN_WORKER or cores < 2 or len(tasks) < 2 or threading.active_count() > 1:
+    cores = _usable_cores()
+    if cores < 2 or len(tasks) < 2:
         return [task() for task in tasks]
     todo = collections.deque(enumerate(tasks[1:], start=1))
     running = collections.deque()       # (index, pid, read end), in task order
@@ -456,15 +498,14 @@ def _suite_asymptotic(cfg, field, grid):
         return reports, runs_f
 
     def ladder():
-        # one stack of the ladder's runs that the block does not provide
+        # the ladder's runs that the block does not provide; in a worker,
+        # _ladder_runs steps them as one stack
         grids, data = nested_ladder(field, data_callable(cfg, field.dim_m),
                                     ladder_from_config(cfg), cfg.get("nest", "R_obs"))
         key = (grid.L, grid.n_per_axis, grid.boundary_kind)
         todo = [(g, f) for g, f in zip(grids, data)
                 if not (f_in_block and (g.L, g.n_per_axis, g.boundary_kind) == key)]
-        return evolve([assemble_system_operator(field, g) for g, _ in todo],
-                      [f for _, f in todo], t_final, dt=dt, theta=theta,
-                      store_every=store_every)
+        return _ladder_runs(field, *zip(*todo), t_final, dt, theta, store_every)
 
     if not cfg.has_section("nest"):
         return block()[0]

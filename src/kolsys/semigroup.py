@@ -11,14 +11,14 @@ theta, t_final and the stored times step as the blocks of one
 block-diagonal system, in one loop with one factorization: solve_nested
 stacks its rungs and the other-boundary twin this way.  Every (block,
 column) segment is held to the 1e-10 relative residual on its own, and
-equals, bit for bit, the run of that datum alone (for the exceptions in a
-stack see ThetaStepper).
+equals, bit for bit, the run of that datum alone (see ThetaStepper).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,7 +121,9 @@ class ThetaStepper:
     1 / (1 - theta) factor would amplify the round-off of B x, so M x is
     formed as well.
 
-    M is factored once by SuperLU: COLAMD at d = 1, and at d = 2 the minimum
+    M is factored once by SuperLU: COLAMD at d = 1, a d = 1 stack under the
+    concatenation of each block's own COLAMD order (COLAMD on the whole
+    stack may order a block of m != 2 another way), and at d = 2 the minimum
     degree ordering of M^T + M (MMD_AT_PLUS_A), with about half of COLAMD's
     fill on a 2-D stencil.  At d = 1 a block takes one multi-right-hand-side
     solve: all supernodes of a d = 1 factor but the last (3 to 5 columns) are
@@ -131,10 +133,8 @@ class ThetaStepper:
     is solved column by column.  Each column equals the step of that datum
     alone, bit for bit.  A stacked operator's segment equals its step alone
     bit for bit when the ordering of the stack keeps that operator's own
-    elimination order: at d = 2, and at d = 1 for two-component systems,
-    in every case tried (the tests pin it).  At d = 1 COLAMD orders a stack
-    of scalar or three-component operators of different sizes differently,
-    and a segment may then move at round-off.
+    elimination order: at d = 1 by construction, and at d = 2 in every case
+    tried (the tests pin both).
 
     Every (block, column) segment must meet |M x - B u| <= SOLVE_RTOL |B u|
     on its own; NaN and inf fail.  The solve is deterministic, so a failing
@@ -174,12 +174,27 @@ class ThetaStepper:
 
     def _direct(self):
         if self._lu is None:
-            permc_spec = "MMD_AT_PLUS_A" if self.ops[0].grid.d == 2 else "COLAMD"
+            d = self.ops[0].grid.d
             try:
-                self._lu = spla.splu(self.M, permc_spec=permc_spec)
+                self._lu = self._block_ordered() if d == 1 and len(self.ops) > 1 else \
+                    spla.splu(self.M, permc_spec="MMD_AT_PLUS_A" if d == 2 else "COLAMD")
             except RuntimeError as exc:   # pragma: no cover - singular system
                 raise SolveError(f"time-step matrix is singular: {exc}") from exc
         return self._lu
+
+    def _block_ordered(self):
+        """The factor of a d = 1 stack under each block's own COLAMD order.
+
+        Column j of a block's A Pc is its column inv(perm_c)[j], so the stack
+        is factored as M[:, q] in its natural order, q the concatenation of
+        each block's inv(perm_c) shifted to its rows, and a solve's y of
+        M[:, q] y = b gives x = y[inv(q)] by one precomputed take.  Each
+        block's order costs one more splu of that block, milliseconds at d = 1.
+        """
+        q = np.concatenate([np.argsort(spla.splu(self.M[lo:hi, lo:hi], permc_spec="COLAMD")
+                                       .perm_c) + lo for lo, hi in self.blocks])
+        lu, undo = spla.splu(self.M[:, q], permc_spec="NATURAL"), np.argsort(q)
+        return SimpleNamespace(solve=lambda rhs: np.asfortranarray(lu.solve(rhs).take(undo, axis=0)))
 
     def _widen(self, k):
         """B, and M where the residual forms M x, as diag(A, ..., A) with k
@@ -317,9 +332,8 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     one block-diagonal system: `f` then holds one entry per operator, each
     a datum or a sequence of data as above, every sequence of one length.
     The result is a list whose i-th entry is what evolve(op[i], f[i], ...)
-    returns, from one stepping loop and one factorization: bit for bit,
-    except at d = 1 for m != 2 on operators of different sizes, where it
-    may differ at round-off (see ThetaStepper).
+    returns, bit for bit, from one stepping loop and one factorization (see
+    ThetaStepper).
 
     Dirichlet runs store the initial datum exactly and later states with
     zero boundary values.  Aborts with SolveError if a step fails its residual

@@ -1,4 +1,5 @@
 import argparse
+import multiprocessing
 import os
 import re
 import signal
@@ -13,6 +14,7 @@ import pytest
 import kolsys.cli as cli
 from kolsys.cli import _concurrently, atomic_write, build_parser, run
 from kolsys.config import SCHEMA, ConfigError, parse_config, time_from_config
+from kolsys.semigroup import SolveError, ThetaStepper
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -622,3 +624,34 @@ def test_verify_error_in_a_worker_matches_the_serial_run(tmp_path, cores, capsys
         assert _no_child_left()
     assert seen[0] == seen[1] == (2, "error: ladder rungs must share the grid spacing h\n")
     assert not (tmp_path / "report.txt").exists()
+
+
+def test_simulate_nested_error_in_a_worker_matches_the_serial_run(tmp_path, cores, capsys,
+                                                                  monkeypatch):
+    # a step of the stack that holds the Dirichlet twin fails; on two cores
+    # that stack, {4:161, 6:241 Dirichlet}, is the worker's
+    path = tmp_path / "nested.cfg"
+    path.write_text(FAST_CFG.replace("[verify]", "[nest]\nladder = 4:161, 6:241\n"
+                                     "nest_tol = 1e-4\nR_obs = 3.0\n\n[verify]")
+                    .replace("t_final = 2.0", "t_final = 0.2"))
+    failed_in = multiprocessing.Value("q", 0)
+    real_step = ThetaStepper.step
+
+    def step(self, u):
+        if any(op.boundary_kind == "dirichlet" for op in self.ops):
+            failed_in.value = os.getpid()
+            raise SolveError("step failed at the twin")
+        return real_step(self, u)
+
+    monkeypatch.setattr(ThetaStepper, "step", step)
+    seen = []
+    for n_cores in (2, 1):
+        cores(n_cores)
+        code = run(["simulate", "--config", str(path), "--nested",
+                    "--out", str(tmp_path / "traj.csv")])
+        seen.append((code, capsys.readouterr(), failed_in.value == os.getpid()))
+        assert _no_child_left()
+    assert [(code, out, err, here) for code, (out, err), here in seen] == \
+        [(2, "", "error: step failed at the twin\n", False),
+         (2, "", "error: step failed at the twin\n", True)]
+    assert os.listdir(tmp_path) == ["nested.cfg"]

@@ -1,6 +1,7 @@
 """Golden bytes: SHA-256 of the check report, the measure CSV and the simulate
 CSV for a small anisotropic d = 2 config, and of the core, asymptotic and
-rates reports and the sweep summary for small d = 1 configs.
+rates reports, the sweep summary and the simulate --nested CSV and stdout for
+small d = 1 configs.
 
 The d = 2 hashes were captured on the code before the coefficient fields
 were batched, the d = 1 hashes on the code before time stepping was batched,
@@ -20,6 +21,7 @@ import os
 
 import pytest
 
+import kolsys.cli as cli
 from kolsys.cli import run
 from kolsys.semigroup import ThetaStepper
 
@@ -122,6 +124,15 @@ workers = 2
 # builtin coefficient family was rewritten, with no source file edited.
 COUNTEREXAMPLE_CFG = D1_CFG.replace("t_final = 3.0", "t_final = 2.0")
 
+# a three-rung ladder and the Dirichlet twin of its last rung, pinned before
+# simulate --nested split its runs across cores, with no source file edited
+NESTED_CFG = D1_CFG.replace("t_final = 3.0", "t_final = 1.0") + """
+[nest]
+ladder = 4:81, 6:121, 8:161
+nest_tol = 1e-1
+R_obs = 3.0
+"""
+
 ZETA3_CFG = """\
 [problem]
 d = 2
@@ -144,6 +155,7 @@ GOLDEN = {
     "check-zeta3": (("check", "--kp"), ZETA3_CFG, 0, "d64fb46e237c854315e79ef5715d6a6f5e1a9ba578bf0307b04a2a7bfdbdce9a"),
     "measure": (("measure",), MEASURE_CFG, 0, "1bd66d55a6ec76d231270b13cc8735250ed09538319296a4923226a5a17cbec4"),
     "simulate": (("simulate",), GOLDEN_CFG, 0, "0b77f7d20afb69bc47ebed54b81cf7290b4ac3067f7064eeadfb9292ff10fa89"),
+    "simulate-nested": (("simulate", "--nested"), NESTED_CFG, 0, "bcaa27c9b37a0419e83ed99be22a44292a597c5a17e77d0b3fc57bc927b7c7b0"),
     "verify-core": (("verify", "--suite", "core"), D1_CFG, 0, "79595f485d89a36bf82ba0c862c57a4a99f8bd2c899eceed15af3eeb3d66dae6"),
     "verify-asymptotic": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_CFG, 1, "20039fc77c5cb455d5a0eadc628784da618dcd7807d0c8d2b1b2ac0d40abde3f"),
     "verify-counterexample": (("verify", "--suite", "counterexample"), COUNTEREXAMPLE_CFG, 0, "6b3979d03565fe5d22bcdf496082599a0919cb8b1807a9b1cba7a92458d12a39"),
@@ -152,27 +164,43 @@ GOLDEN = {
 }
 
 
+# id -> SHA-256 of what the command prints; every other command prints nothing
+STDOUT = {
+    "simulate-nested": "50b897b2e9a52a93722330219890ec779994520c219ed790393699074b401e0f",
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_output_bytes_pinned(tmp_path, name):
+def test_output_bytes_pinned(tmp_path, capsys, name):
     argv, text, want_code, want_digest = GOLDEN[name]
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(text)
     out = tmp_path / "out.txt"
     code = run([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert (code, digest) == (want_code, want_digest)
+    printed = _sha256(capsys.readouterr().out.encode())
+    assert (code, _sha256(out.read_bytes()), printed) == \
+        (want_code, want_digest, STDOUT.get(name, _sha256(b"")))
 
 
-@pytest.mark.parametrize("name", ["verify-asymptotic", "verify-core", "verify-counterexample"])
-def test_output_bytes_pinned_on_one_core(tmp_path, monkeypatch, name):
-    # these suites run independent groups of runs in forked workers; on one
-    # core every group runs in this process, and the bytes are the same
+def _one_core(monkeypatch):
     def no_fork():
         raise AssertionError("forked on one core")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", no_fork)
-    test_output_bytes_pinned(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", ["simulate-nested", "verify-asymptotic", "verify-core",
+                                  "verify-counterexample"])
+def test_output_bytes_pinned_on_one_core(tmp_path, capsys, monkeypatch, name):
+    # these commands run independent groups of runs in forked workers; on one
+    # core every group runs in this process, and the bytes are the same
+    _one_core(monkeypatch)
+    test_output_bytes_pinned(tmp_path, capsys, name)
 
 
 # (steps, run-steps) of each d = 1 suite on the configs above: each distinct
@@ -193,9 +221,9 @@ STEP_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("suite", sorted(STEP_COUNTS))
-def test_each_distinct_run_steps_once(tmp_path, monkeypatch, suite):
-    # shared memory made before the suite forks: a worker's steps count here too
+def _count_steps(monkeypatch):
+    """(steps, run-steps) from here on, in shared memory made before any
+    fork: a worker's steps count here too."""
     counts = multiprocessing.Array("q", 2)
     real_step = ThetaStepper.step
 
@@ -207,7 +235,42 @@ def test_each_distinct_run_steps_once(tmp_path, monkeypatch, suite):
         return x
 
     monkeypatch.setattr(ThetaStepper, "step", counting_step)
+    return counts
+
+
+@pytest.mark.parametrize("suite", sorted(STEP_COUNTS))
+def test_each_distinct_run_steps_once(tmp_path, monkeypatch, suite):
+    counts = _count_steps(monkeypatch)
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(GOLDEN[f"verify-{suite}"][1])
     run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out.txt"), "--suite", suite])
     assert tuple(counts[:]) == STEP_COUNTS[suite]
+
+
+def _pretend(monkeypatch, mode):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if mode == "one-core":
+        _one_core(monkeypatch)
+    elif mode == "in-worker":
+        monkeypatch.setattr(cli, "_IN_WORKER", True)
+    elif mode == "thread-running":
+        monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
+
+
+# (steps, run-steps) of simulate --nested on NESTED_CFG, by how many cores it
+# may use: its four runs (the three rungs and the twin, 250 steps each) step
+# as two stacks of two blocks on two cores, {8:161, 4:81} here and {6:121,
+# 8:161 Dirichlet} in a worker, and as one stack of four otherwise
+NESTED_STEP_COUNTS = {"two-cores": (500, 1000), "one-core": (250, 1000),
+                      "in-worker": (250, 1000), "thread-running": (250, 1000)}
+
+
+@pytest.mark.parametrize("mode", sorted(NESTED_STEP_COUNTS))
+def test_simulate_nested_stacks_per_usable_core(tmp_path, monkeypatch, mode):
+    counts = _count_steps(monkeypatch)
+    _pretend(monkeypatch, mode)
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(NESTED_CFG)
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+                "--nested"]) == 0
+    assert tuple(counts[:]) == NESTED_STEP_COUNTS[mode]

@@ -2,14 +2,20 @@
 
 The pin only works if `kolsys/__init__.py` sets the thread variables before
 its first numpy, SciPy or kolsys import; an import moved above that block
-lets OpenBLAS start its worker threads at load time, which this test sees.
+lets OpenBLAS start its worker threads at load time, which these tests see,
+in a fresh interpreter and in the test process itself.
 """
 
 import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
@@ -29,3 +35,19 @@ def test_cli_import_runs_blas_on_one_thread():
     assert seen["env"] == {**dict.fromkeys(BLAS_VARS, "1"), "OMP_NUM_THREADS": "3"}
     if seen["threads"] is not None:
         assert seen["threads"] == 1
+
+
+def test_test_process_runs_blas_on_one_thread():
+    # the root conftest.py imports kolsys before numpy loads; a numpy import
+    # ahead of it, such as a numpy class named in pyproject.toml's
+    # filterwarnings, gives this process a native OpenBLAS thread
+    tasks = "/proc/self/task"
+    if os.path.isdir(tasks):
+        assert len(os.listdir(tasks)) == threading.active_count()
+
+
+def test_rank_warning_is_an_error():
+    # a RuntimeWarning, so pyproject.toml's error::RuntimeWarning covers it
+    # without naming the numpy class
+    with pytest.raises(np.exceptions.RankWarning):
+        warnings.warn("rank deficient fit", np.exceptions.RankWarning)
