@@ -77,7 +77,7 @@ from kolsys.properties import (
     verify_semigroup_bounds,
 )
 from kolsys.reports import CheckRecord
-from kolsys.semigroup import evolve, nested_ladder, solve_nested
+from kolsys.semigroup import evolve, judge_ladder, nested_ladder
 
 
 def fmt(x):
@@ -202,19 +202,13 @@ def cmd_simulate(args, cfg):
     field = make_builtin(family_from_config(cfg))
     dt, t_final, theta, store_every = time_from_config(cfg)
     if args.nested:
-        ladder = ladder_from_config(cfg)
         nest_tol = cfg.get("nest", "nest_tol")
         r_obs = cfg.get("nest", "R_obs")
-        boundary = cfg.get("grid", "boundary")
-        f_fn = data_callable(cfg, field.dim_m)
-        # solve_nested takes every run from `runs` and evolves nothing.  No
-        # local keeps the runs: the coarser rungs are freed before the CSV
-        # is formatted
-        result = solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=dt,
-                              theta=theta, boundary_kind=boundary, store_every=store_every,
-                              runs=_ladder_runs(field, *nested_ladder(field, f_fn, ladder, r_obs,
-                                                                      boundary),
-                                                t_final, dt, theta, store_every))
+        # no local keeps the runs, or the grids and data they start from:
+        # the coarser rungs are freed before the CSV is formatted
+        result = judge_ladder(_ladder_runs(field, *nested_ladder(
+            field, data_callable(cfg, field.dim_m), ladder_from_config(cfg), r_obs,
+            cfg.get("grid", "boundary")), t_final, dt, theta, store_every), r_obs, nest_tol)
         for k, disc in enumerate(result.discrepancies, start=1):
             print(f"rung {k} discrepancy = {fmt(disc)}")
         print(f"dirichlet_neumann_gap = {fmt(result.dirichlet_neumann_gap)}")
@@ -306,17 +300,20 @@ def _balanced(ops, n):
 
 def _ladder_runs(field, grids, data, t_final, dt, theta, store_every):
     """The runs of the system operator of `field` on each of `grids` from
-    the datum of `data` on it, as row-balanced stacks (`_balanced`), one per
-    usable core, each evolved as one task of `_concurrently`; the runs come
-    stack by stack."""
+    the datum of `data` on it, in `grids` order, evolved as row-balanced
+    stacks (`_balanced`), one per usable core, each one task of
+    `_concurrently`."""
     ops = [assemble_system_operator(field, g) for g in grids]
 
     def stack(rows):
         return lambda: evolve([ops[i] for i in rows], [data[i] for i in rows], t_final,
                               dt=dt, theta=theta, store_every=store_every)
 
-    stacks = _concurrently([stack(rows) for rows in _balanced(ops, _usable_cores())])
-    return list(itertools.chain.from_iterable(stacks))
+    stacks = _balanced(ops, _usable_cores())
+    # the runs come stack by stack: each goes back to its grid's index
+    runs = dict(zip(itertools.chain.from_iterable(stacks), itertools.chain.from_iterable(
+        _concurrently([stack(rows) for rows in stacks]))))
+    return [runs[i] for i in range(len(ops))]
 
 
 def _concurrently(tasks):
@@ -415,8 +412,7 @@ def _suite_core(cfg, field, grid):
         f = data_from_config(cfg, grid, field.dim_m)
         absf2 = GridFunction(grid, np.sum(f.values ** 2, axis=0))
         dom_tol = cfg.get("verify", "dom_tol")
-        traj_v1 = evolve(op, f, t_final, dt=dt, theta=1.0)
-        traj_s1 = evolve(op_s, absf2, t_final, dt=dt, theta=1.0)
+        traj_v1, traj_s1 = evolve([op, op_s], [f, absf2], t_final, dt=dt, theta=1.0)
         reports.append(verify_semigroup_bounds(traj_v1, traj_s1, p=2.0,
                                                dom_tol=dom_tol, sup_tol=dom_tol))
         return reports
@@ -424,12 +420,12 @@ def _suite_core(cfg, field, grid):
     def invariance():
         f = data_from_config(cfg, grid, field.dim_m)
         check_times = sorted({min(0.1, t_final), min(1.0, t_final), t_final})
-        traj_v = evolve(op, f, t_final, dt=dt, theta=theta, store_times=check_times)
-        reports = [verify_invariance(traj_v, sys, inv_tol=cfg.get("verify", "inv_tol"))]
-        scalars = [grid_function_from_callable(grid, DATA_BUILDERS[name], m=1)
-                   for name in ("tanh", "gauss")]
-        reports.append(verify_scalar_invariance(
-            evolve(op_s, scalars, t_final, dt=dt, theta=theta, store_times=check_times), mu))
+        tanh, gauss = (grid_function_from_callable(grid, DATA_BUILDERS[name], m=1)
+                       for name in ("tanh", "gauss"))
+        traj_v, *scalar_runs = evolve([op, op_s, op_s], [f, tanh, gauss], t_final, dt=dt,
+                                      theta=theta, store_times=check_times)
+        reports = [verify_invariance(traj_v, sys, inv_tol=cfg.get("verify", "inv_tol")),
+                   verify_scalar_invariance(scalar_runs, mu)]
         lp_tol = cfg.get("verify", "lp_tol")
         return reports + [verify_lp_bound(traj_v, sys, p, lp_tol=lp_tol) for p in (1.0, 2.0, 4.0)]
 
@@ -468,7 +464,8 @@ def _suite_rates(cfg, field, grid):
 def _suite_asymptotic(cfg, field, grid):
     dt, t_final, theta, store_every = time_from_config(cfg)
     # the Cesaro check below needs f run to t = n: with t_final = n that run
-    # joins the block, and the nested ladder reuses it for its rung on this grid
+    # joins the block, and it is the nested ladder's run on its rung on this
+    # grid, if the ladder has one
     n = max(2, int(t_final))
     f_in_block = float(n) == t_final
 
@@ -498,23 +495,25 @@ def _suite_asymptotic(cfg, field, grid):
         return reports, runs_f
 
     def ladder():
-        # the ladder's runs that the block does not provide; in a worker,
-        # _ladder_runs steps them as one stack
+        # the index among the ladder's runs of the one the block makes, or
+        # None, and the other runs in order; in a worker, _ladder_runs steps
+        # them as one stack
         grids, data = nested_ladder(field, data_callable(cfg, field.dim_m),
                                     ladder_from_config(cfg), cfg.get("nest", "R_obs"))
         key = (grid.L, grid.n_per_axis, grid.boundary_kind)
-        todo = [(g, f) for g, f in zip(grids, data)
-                if not (f_in_block and (g.L, g.n_per_axis, g.boundary_kind) == key)]
-        return _ladder_runs(field, *zip(*todo), t_final, dt, theta, store_every)
+        at = next((i for i, g in enumerate(grids)
+                   if f_in_block and (g.L, g.n_per_axis, g.boundary_kind) == key), None)
+        if at is not None:
+            del grids[at], data[at]
+        return at, _ladder_runs(field, grids, data, t_final, dt, theta, store_every)
 
     if not cfg.has_section("nest"):
         return block()[0]
-    (reports, runs_f), stack = _concurrently([block, ladder])
+    (reports, runs_f), (at, runs) = _concurrently([block, ladder])
+    if at is not None:
+        runs.insert(at, runs_f[0])
     nest_tol = cfg.get("nest", "nest_tol")
-    # every run of the ladder is in runs_f or the stack: solve_nested evolves nothing
-    result = solve_nested(field, data_callable(cfg, field.dim_m), t_final,
-                          ladder_from_config(cfg), nest_tol, cfg.get("nest", "R_obs"), dt=dt,
-                          theta=theta, store_every=store_every, runs=runs_f + stack)
+    result = judge_ladder(runs, cfg.get("nest", "R_obs"), nest_tol)
     return reports + [verify_nested_convergence(result, nest_tol)]
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from kolsys.coefficients import COUPLING_KINDS, BuiltinFamily, libm_pow, rowdot
 from kolsys.discretization import BOUNDARY_KINDS, build_grid, grid_function_from_callable
+from kolsys.semigroup import whole_steps
 
 
 class ConfigError(Exception):
@@ -187,6 +188,10 @@ def time_from_config(cfg: RunConfig):
     if store_every is not None and store_every < 1:
         raise ConfigError(f"time.store_every must be at least 1, got {store_every}",
                           cfg.line("time", "store_every"))
+    try:
+        whole_steps(t_final, dt, "time.t_final")
+    except ValueError as exc:
+        raise ConfigError(str(exc), cfg.line("time", "t_final")) from None
     return dt, t_final, theta, store_every
 
 

@@ -211,10 +211,6 @@ def functional_Mf(f, sys: MeasureSystem):
     return _float_or_array(sys._total(f.values))
 
 
-def l1_distance(a: MeasureDensity, b: MeasureDensity) -> float:
-    return float(np.sum(a.weights * np.abs(a.rho - b.rho)))
-
-
 def check_infinitesimal_invariance(field: CoefficientField, mu: MeasureDensity,
                                    test_functions, inv_tol=1e-4) -> PropertyReport:
     """|int A0 psi dmu| <= inv_tol * ||psi||_C2 for compactly supported psi.

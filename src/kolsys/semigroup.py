@@ -9,7 +9,8 @@ share an operator, dt and theta and steps them together, with one
 factorization for all of them.  Runs on different operators that share dt,
 theta, t_final and the stored times step as the blocks of one
 block-diagonal system, in one loop with one factorization: solve_nested
-stacks its rungs and the other-boundary twin this way.  Every (block,
+stacks its rungs and the other-boundary twin this way, and judge_ladder
+judges a ladder's runs however they were made.  Every (block,
 column) segment is held to the 1e-10 relative residual on its own, and
 equals, bit for bit, the run of that datum alone (see ThetaStepper).
 """
@@ -48,8 +49,9 @@ class SolveError(RuntimeError):
 class Trajectory:
     """One evolve run: `values[i]` is the (m, N) state at `times[i]` on the
     full grid, and values[0] the initial datum.  `values`, of shape
-    (n_times, m, N), is read-only: runs are shared (solve_nested's `runs`),
-    and the GridFunctions of `snapshots` and `snapshot_at` are views of it."""
+    (n_times, m, N), is read-only: runs are shared (a ladder's runs judged
+    by judge_ladder), and the GridFunctions of `snapshots` and
+    `snapshot_at` are views of it."""
 
     times: np.ndarray
     values: np.ndarray
@@ -283,17 +285,25 @@ def step(op: DiscreteOperator, u, dt, theta=0.5):
     return ThetaStepper(op, dt, theta).step(u).copy()
 
 
+def whole_steps(t, dt, what):
+    """The number k of steps of size dt in the time t, held to k dt = t
+    within 1e-6 max(dt, |t|) + 1e-12; ValueError, naming t as `what`,
+    when t is not such a multiple of dt."""
+    k = int(round(float(t) / dt))
+    if abs(k * dt - float(t)) > 1e-6 * max(dt, abs(t)) + 1e-12:
+        raise ValueError(f"{what} {t} is not a multiple of dt = {dt}")
+    return k
+
+
 def _store_steps(n_steps, dt, store_every, store_times):
     if store_every is not None and store_every < 1:
         raise ValueError(f"store_every must be at least 1, got {store_every}")
     marks = {0, n_steps}
     if store_times is not None:
         for t in store_times:
-            k = int(round(float(t) / dt))
+            k = whole_steps(t, dt, "store time")
             if not 0 <= k <= n_steps:
                 raise ValueError(f"store time {t} outside the run")
-            if abs(k * dt - float(t)) > 1e-6 * max(dt, abs(t)) + 1e-12:
-                raise ValueError(f"store time {t} is not a multiple of dt = {dt}")
             marks.add(k)
     else:
         if store_every is None:
@@ -335,6 +345,7 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     returns, bit for bit, from one stepping loop and one factorization (see
     ThetaStepper).
 
+    t_final must be a positive multiple of dt (see whole_steps).
     Dirichlet runs store the initial datum exactly and later states with
     zero boundary values.  Aborts with SolveError if a step fails its residual
     check, naming the time (and, in a stack, the operator's block), and says
@@ -342,6 +353,7 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
+    n_steps = whole_steps(t_final, dt, "t_final")
     stacked = not isinstance(op, DiscreteOperator)
     ops, entries = (list(op), list(f)) if stacked else ([op], [f])
     if not ops or len(entries) != len(ops):
@@ -351,7 +363,6 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     k = len(data[0])
     if any(len(d) != k for d in data):
         raise ValueError("every operator of a stack must carry equally many data")
-    n_steps = max(1, int(round(t_final / dt)))
     marks = _store_steps(n_steps, dt, store_every, store_times)
     stepper = ThetaStepper(ops, dt, theta)
 
@@ -430,22 +441,9 @@ def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
     return float(np.max(np.abs(traj_a.values[..., ia] - traj_b.values[..., ib])))
 
 
-def _same_run(runs, grid, f, dt, theta, times):
-    """The trajectory of `runs` that started from f on `grid` with this dt,
-    theta and these stored times, or None."""
-    key = (grid.d, grid.L, grid.n_per_axis, grid.boundary_kind)
-    for traj in runs:
-        g = traj.grid
-        if (g.d, g.L, g.n_per_axis, g.boundary_kind) == key and \
-                (traj.dt, traj.theta) == (dt, theta) and np.array_equal(traj.times, times) \
-                and np.array_equal(traj.values[0], f.values):
-            return traj
-    return None
-
-
 def nested_ladder(field, f_fn, ladder, r_obs, boundary_kind="neumann"):
     """The grids of a nested ladder and the datum on each, checked as
-    solve_nested needs them: the rungs in order, then the final rung's twin
+    judge_ladder needs them: the rungs in order, then the final rung's twin
     with the other boundary condition, and f_fn sampled on each grid."""
     if len(ladder) < 2:
         raise ValueError("ladder needs at least two rungs")
@@ -464,39 +462,32 @@ def nested_ladder(field, f_fn, ladder, r_obs, boundary_kind="neumann"):
 
 
 def solve_nested(field, f_fn, t_final, ladder, nest_tol, r_obs, dt=1e-3, theta=0.5,
-                 boundary_kind="neumann", store_every=None, runs=()) -> NestedSolveResult:
+                 boundary_kind="neumann", store_every=None) -> NestedSolveResult:
     """Evolve on an increasing ladder of boxes and track window discrepancies.
 
     `ladder` is a list of (L, n_per_axis) with strictly increasing L and a
     common spacing h; `f_fn` samples the initial datum on each rung's grid.
     The final rung is re-run with the other boundary condition and the gap
     between the two is reported (both approximate the same whole-space
-    semigroup).
-
-    `runs` may hold trajectories the caller has already evolved with this
-    field to t_final (for example as one column of a batch).  A rung or the
-    twin whose grid, initial values, dt, theta and stored times match one of
-    them takes it as its run instead of evolving again; the field is the
-    caller's word.  Every other run evolves in one call, as the blocks of
-    one stack (see evolve); when `runs` holds them all, nothing evolves.
+    semigroup).  The rungs and the twin evolve in one call, as the blocks
+    of one stack (see evolve), and judge_ladder judges their runs.
     """
     grids, data = nested_ladder(field, f_fn, ladder, r_obs, boundary_kind)
-    n_steps = max(1, int(round(t_final / dt)))
-    times = np.array([k * dt for k in _store_steps(n_steps, dt, store_every, None)])
-    trajectories = [_same_run(runs, grid, f, dt, theta, times) for grid, f in zip(grids, data)]
-    # every run not taken from `runs` steps in one stack
-    todo = [i for i, traj in enumerate(trajectories) if traj is None]
-    stack = evolve([assemble_system_operator(field, grids[i]) for i in todo],
-                   [data[i] for i in todo], t_final, dt=dt, theta=theta,
-                   store_every=store_every) if todo else []
-    for i, traj in zip(todo, stack):
-        trajectories[i] = traj
-    *rungs, traj_o = trajectories
+    return judge_ladder(evolve([assemble_system_operator(field, g) for g in grids], data,
+                               t_final, dt=dt, theta=theta, store_every=store_every),
+                        r_obs, nest_tol)
 
+
+def judge_ladder(runs, r_obs, nest_tol) -> NestedSolveResult:
+    """The NestedSolveResult of a ladder's runs, given in nested_ladder's
+    order: the rungs, then the twin, the final rung run again under the
+    other boundary condition.  The discrepancies compare each rung with the
+    one before on the window of radius r_obs, and the gap the final rung
+    with its twin."""
+    *rungs, twin = runs
     discrepancies = [_window_discrepancy(rungs[k], rungs[k - 1], r_obs)
                      for k in range(1, len(rungs))]
-    gap = _window_discrepancy(rungs[-1], traj_o, r_obs)
-
+    gap = _window_discrepancy(rungs[-1], twin, r_obs)
     return NestedSolveResult(trajectory=rungs[-1], discrepancies=discrepancies,
                              converged=nested_converged(discrepancies, gap, nest_tol),
                              dirichlet_neumann_gap=gap)

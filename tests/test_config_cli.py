@@ -1,4 +1,5 @@
 import argparse
+import json
 import multiprocessing
 import os
 import re
@@ -103,6 +104,20 @@ def test_store_every_below_one_rejected_with_line(fast_cfg, tmp_path, value):
                                                   f"theta = 0.5\nstore_every = {value}\n"))
     with pytest.raises(ConfigError, match="line 19: time.store_every must be at least 1"):
         time_from_config(parse_config(path))
+
+
+@pytest.mark.parametrize("t_final", ["2.0005", "0.0004"])
+def test_t_final_not_a_multiple_of_dt_rejected_with_line(fast_cfg, tmp_path, capsys, t_final):
+    # simulate used to run round(t_final / dt) steps, at least one, and end
+    # its CSV at another time than asked
+    path = tmp_path / "t_final.cfg"
+    path.write_text(fast_cfg.read_text().replace("t_final = 2.0\n", f"t_final = {t_final}\n"))
+    with pytest.raises(ConfigError, match=f"line 17: time.t_final {t_final} is not a "
+                                          f"multiple of dt = 0.002$"):
+        time_from_config(parse_config(path))
+    out = tmp_path / "traj.csv"
+    assert run(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert "line 17: time.t_final" in capsys.readouterr().err and not out.exists()
 
 
 def test_readme_config_reference_lists_the_schema():
@@ -511,6 +526,19 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cpu_total_reports_one_json_line_and_the_command_exit_code(fast_cfg, tmp_path):
+    out = tmp_path / "report.txt"
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "cpu_total.py"),
+                           "verify", "--suite", "counterexample", "--config", str(fast_cfg),
+                           "--out", str(out)], capture_output=True, text=True, check=False)
+    [line] = proc.stdout.splitlines()
+    rec = json.loads(line)
+    assert proc.returncode == rec["rc"] == 0 and out.read_text().startswith("property,")
+    assert rec["total_cpu_s"] == rec["self_cpu_s"] + rec["children_cpu_s"]
+    assert min(rec["wall_s"], rec["self_cpu_s"], rec["vm_hwm_mb"]) > 0
+    assert rec["children_cpu_s"] >= 0
 
 
 # -- _concurrently: independent tasks, the first here and the others in forked workers

@@ -124,6 +124,15 @@ workers = 2
 # builtin coefficient family was rewritten, with no source file edited.
 COUNTEREXAMPLE_CFG = D1_CFG.replace("t_final = 3.0", "t_final = 2.0")
 
+# the asymptotic suite where f's block run is not a ladder rung: t_final is
+# not an integer, so the Cesaro check runs f apart, or the suite grid is on no
+# rung; and where it is the middle one of three rungs, so that its place in
+# the ladder shows in the discrepancies.  All three pinned before the
+# ladder's runs were judged where they were made, with no source file edited.
+ASYMPTOTIC_T_CFG = ASYMPTOTIC_CFG.replace("t_final = 3.0", "t_final = 2.5")
+ASYMPTOTIC_OFF_CFG = ASYMPTOTIC_CFG.replace("L = 6.0\nn_per_axis = 121", "L = 5.0\nn_per_axis = 101")
+ASYMPTOTIC_MID_CFG = ASYMPTOTIC_CFG.replace("ladder = 4:81, 6:121", "ladder = 4:81, 6:121, 8:161")
+
 # a three-rung ladder and the Dirichlet twin of its last rung, pinned before
 # simulate --nested split its runs across cores, with no source file edited
 NESTED_CFG = D1_CFG.replace("t_final = 3.0", "t_final = 1.0") + """
@@ -158,6 +167,9 @@ GOLDEN = {
     "simulate-nested": (("simulate", "--nested"), NESTED_CFG, 0, "bcaa27c9b37a0419e83ed99be22a44292a597c5a17e77d0b3fc57bc927b7c7b0"),
     "verify-core": (("verify", "--suite", "core"), D1_CFG, 0, "79595f485d89a36bf82ba0c862c57a4a99f8bd2c899eceed15af3eeb3d66dae6"),
     "verify-asymptotic": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_CFG, 1, "20039fc77c5cb455d5a0eadc628784da618dcd7807d0c8d2b1b2ac0d40abde3f"),
+    "verify-asymptotic-t2.5": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_T_CFG, 1, "b802c09272316060fa201c92bdc88b35ae2df14bae18547e86573c76a2a63c43"),
+    "verify-asymptotic-mid-rung": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_MID_CFG, 1, "c20d5f712688201c1a2b5e47a6c521467497b70bf16cdbbedcaa1d3b873d2ac8"),
+    "verify-asymptotic-off-ladder": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_OFF_CFG, 1, "8dadc37e1df3cb96fd11774774c23561fa6370134473b4b38bdbe3697349da1c"),
     "verify-counterexample": (("verify", "--suite", "counterexample"), COUNTEREXAMPLE_CFG, 0, "6b3979d03565fe5d22bcdf496082599a0919cb8b1807a9b1cba7a92458d12a39"),
     "verify-rates": (("verify", "--suite", "rates"), RATES_CFG, 0, "b1f88c5052dc0d149f5c2e7600fcd2b70650b0987a8b344037eb0174b0ffed8c"),
     "sweep": (("sweep",), SWEEP_CFG, 1, "3402c953f3e9b5400dc7b510aee224c5ad7b8241fb102767dc03f65216e93cf0"),
@@ -194,8 +206,10 @@ def _one_core(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
 
 
-@pytest.mark.parametrize("name", ["simulate-nested", "verify-asymptotic", "verify-core",
-                                  "verify-counterexample"])
+@pytest.mark.parametrize("name", ["simulate-nested", "verify-asymptotic",
+                                  "verify-asymptotic-mid-rung", "verify-asymptotic-off-ladder",
+                                  "verify-asymptotic-t2.5",
+                                  "verify-core", "verify-counterexample"])
 def test_output_bytes_pinned_on_one_core(tmp_path, capsys, monkeypatch, name):
     # these commands run independent groups of runs in forked workers; on one
     # core every group runs in this process, and the bytes are the same
@@ -209,9 +223,10 @@ def test_output_bytes_pinned_on_one_core(tmp_path, capsys, monkeypatch, name):
 # share them too.  A run-step is one datum on one operator advanced by one
 # step.
 STEP_COUNTS = {
-    # fixed points 3 x 250 in one block; positivity 500; theta = 1 system and
-    # scalar 750 each; invariance 750; tanh and gauss 2 x 750 in one block
-    "core": (3750, 5000),
+    # fixed points 3 x 250 in one block; positivity 500; the theta = 1 system
+    # and scalar runs, 750 steps stacked; invariance and the tanh and gauss
+    # scalar runs, 750 steps stacked
+    "core": (2250, 5000),
     # e1, the bump and f 3 x 750 in one block, whose f run is also the
     # ladder's 6:121 rung; unit run 250; discrete average 500; the 4:81 rung
     # and the Dirichlet run 750 each, stacked in one 750-step loop

@@ -1,4 +1,5 @@
 import itertools
+import os
 import pickle
 import re
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import kolsys.cli as cli
 import kolsys.semigroup as semigroup
 from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin, rowdot
 from kolsys.discretization import (
@@ -27,6 +29,7 @@ from kolsys.semigroup import (
     cesaro_average,
     discrete_average,
     evolve,
+    judge_ladder,
     solve_nested,
     step,
 )
@@ -250,6 +253,18 @@ def test_evolve_rejects_store_every_below_one(store_every):
     f = grid_function_from_callable(grid, tanh_gauss)
     with pytest.raises(ValueError, match="store_every must be at least 1"):
         evolve(op, f, t_final=0.05, dt=1e-2, store_every=store_every)
+
+
+@pytest.mark.parametrize("t_final", [0.0105, 0.0004])
+def test_evolve_rejects_a_t_final_that_is_not_a_multiple_of_dt(t_final):
+    # such a t_final used to run round(t_final / dt) steps, at least one,
+    # and end the run at another time than asked
+    grid = build_grid(1, 2.0, 21, "neumann")
+    op = assemble_system_operator(exchange2_field(), grid)
+    f = grid_function_from_callable(grid, tanh_gauss)
+    with pytest.raises(ValueError, match=f"t_final {t_final} is not a multiple of dt = 0.001"):
+        evolve(op, f, t_final=t_final, dt=1e-3)
+    assert evolve(op, f, t_final=0.0105, dt=1.5e-3).times[-1] == pytest.approx(0.0105)
 
 
 def test_markov_property_scalar_neumann():
@@ -667,28 +682,29 @@ def test_batched_evolve_rejects_mixed_or_empty_batches():
             evolve(op, batch, t_final=0.1, dt=1e-2)
 
 
-def test_nested_reuses_a_matching_run():
+def test_judged_ladder_runs_equal_solve_nested(monkeypatch):
+    # the runs simulate --nested makes, as two row-balanced stacks on two
+    # pretended cores (the second in a worker) and as one stack on one core,
+    # come back in ladder order, and judged there they give solve_nested's
+    # result field for field
     field = exchange2_field()
-    ladder = [(4.0, 161), (6.0, 241)]
-    kwargs = dict(t_final=0.02, ladder=ladder, nest_tol=1e-8, r_obs=3.0, dt=1e-3)
-    plain = solve_nested(field, tanh_gauss, **kwargs)
-    grid = build_grid(1, 6.0, 241, "neumann")
-    op = assemble_system_operator(field, grid)
-    f = grid_function_from_callable(grid, tanh_gauss)
-    run = evolve(op, f, 0.02, dt=1e-3)
-    reused = solve_nested(field, tanh_gauss, runs=[run], **kwargs)
-    assert reused.trajectory is run
-    assert (reused.discrepancies, reused.dirichlet_neumann_gap) == \
-        (plain.discrepancies, plain.dirichlet_neumann_gap)
-    # a run that differs in theta, in its datum or in its stored times is not
-    # the rung's run
-    other = grid_function_from_callable(grid, lambda x: [np.tanh(x[..., 0]), 0.0])
-    for stranger in (evolve(op, f, 0.02, dt=1e-3, theta=1.0),
-                     evolve(op, other, 0.02, dt=1e-3),
-                     evolve(op, f, 0.02, dt=1e-3, store_every=5)):
-        result = solve_nested(field, tanh_gauss, runs=[stranger], **kwargs)
-        assert result.trajectory is not stranger
+    ladder, r_obs = [(4.0, 161), (6.0, 241), (8.0, 321)], 3.0
+    plain = solve_nested(field, tanh_gauss, t_final=0.02, ladder=ladder, nest_tol=1e-8,
+                         r_obs=r_obs, dt=1e-3)
+    grids, data = semigroup.nested_ladder(field, tanh_gauss, ladder, r_obs)
+    for cores in ({0, 1}, {0}):
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: cores)
+            if len(cores) == 1:
+                mp.setattr(os, "fork", lambda: pytest.fail("forked on one core"))
+            runs = cli._ladder_runs(field, grids, data, 0.02, 1e-3, 0.5, None)
+        assert [(r.grid.L, r.boundary_kind) for r in runs] == \
+            [(g.L, g.boundary_kind) for g in grids]
+        result = judge_ladder(runs, r_obs, 1e-8)
+        assert result.trajectory is runs[-2]
         assert _same_trajectory(result.trajectory, plain.trajectory)
+        assert (result.discrepancies, result.converged, result.dirichlet_neumann_gap) == \
+            (plain.discrepancies, plain.converged, plain.dirichlet_neumann_gap)
 
 
 # -- stacked stepping: runs on different operators step as one block-diagonal system
@@ -732,18 +748,6 @@ def test_stacked_nested_runs_equal_their_lone_evolves_bitwise(monkeypatch, d):
         assert _same_trajectory(traj, alone), op.grid
 
 
-def test_nested_stacks_only_the_runs_it_does_not_reuse(monkeypatch):
-    field = exchange2_field()
-    grid = build_grid(1, 6.0, 241, "neumann")
-    run = evolve(assemble_system_operator(field, grid),
-                 grid_function_from_callable(grid, tanh_gauss), 0.02, dt=1e-3)
-    calls = _stack_recorder(monkeypatch)
-    solve_nested(field, tanh_gauss, t_final=0.02, ladder=[(4.0, 161), (6.0, 241)],
-                 nest_tol=1e-8, r_obs=3.0, dt=1e-3, runs=[run])
-    [(ops, _, _)] = calls
-    assert [(o.grid.L, o.boundary_kind) for o in ops] == [(4.0, "neumann"), (6.0, "dirichlet")]
-
-
 def test_nested_takes_every_run_from_runs_and_evolves_none(monkeypatch):
     # the rungs and the Dirichlet twin, evolved elsewhere as one stack
     field = exchange2_field()
@@ -755,7 +759,7 @@ def test_nested_takes_every_run_from_runs_and_evolves_none(monkeypatch):
         [(4.0, "neumann"), (6.0, "neumann"), (6.0, "dirichlet")]
     runs = evolve([assemble_system_operator(field, g) for g in grids], data, 0.02, dt=1e-3)
     calls = _stack_recorder(monkeypatch)
-    result = solve_nested(field, tanh_gauss, runs=runs, **kwargs)
+    result = judge_ladder(runs, 3.0, 1e-8)
     assert calls == []
     assert result.trajectory is runs[1]
     assert (result.discrepancies, result.dirichlet_neumann_gap) == \
