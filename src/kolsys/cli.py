@@ -14,12 +14,11 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import collections
 import itertools
+import multiprocessing
 import os
 import pickle
 import secrets
-import signal
 import sys
 import threading
 from dataclasses import replace
@@ -77,7 +76,7 @@ from kolsys.properties import (
     verify_semigroup_bounds,
 )
 from kolsys.reports import CheckRecord
-from kolsys.semigroup import evolve, judge_ladder, nested_ladder
+from kolsys.semigroup import evolve, judge_ladder, nested_ladder, whole_steps
 
 
 def fmt(x):
@@ -237,27 +236,12 @@ def cmd_measure(args, cfg):
     return ",".join(header) + "\n" + _rows([_node_cells(grid)], np.array(columns)) + "\n", 0
 
 
-# True only in a process forked by _concurrently, which then runs any tasks
-# of its own in order: workers do not fork again
-_IN_WORKER = False
-
-
 def _worker(task):
     """Fork a worker that runs `task` and pickles (ok, result or exception)
-    to a pipe; returns its pid and the pipe's read end."""
-    global _IN_WORKER
+    to a pipe; returns the started process and the pipe's read end."""
     r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-    _IN_WORKER, code = True, 1
-    try:
+
+    def target():
         os.close(r)
         try:
             out = (True, task())
@@ -269,9 +253,16 @@ def _worker(task):
             data = pickle.dumps((False, RuntimeError(f"unpicklable result: {exc}")))
         with os.fdopen(w, "wb") as fh:
             fh.write(data)
-        code = 0
+
+    proc = multiprocessing.get_context("fork").Process(target=target)
+    try:
+        proc.start()
+    except BaseException:
+        os.close(r)
+        raise
     finally:
-        os._exit(code)
+        os.close(w)
+    return proc, os.fdopen(r, "rb")
 
 
 def _usable_cores():
@@ -279,8 +270,8 @@ def _usable_cores():
     in this process, when one core is usable (or the platform cannot fork or
     tell), when another Python thread runs (forking it could deadlock), or
     inside a worker."""
-    if _IN_WORKER or threading.active_count() > 1 or not hasattr(os, "fork") \
-            or not hasattr(os, "sched_getaffinity"):
+    if multiprocessing.parent_process() is not None or threading.active_count() > 1 \
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -320,53 +311,52 @@ def _concurrently(tasks):
     """The results of the zero-argument callables `tasks`, in order.
 
     The first task runs in this process and every other one in a worker
-    forked for it, at most one worker fewer than the usable cores at a
-    time; results come back pickled over a pipe.  Each task computes what
+    forked for it, all at once: callers pass at most one task per usable
+    core.  Results come back pickled over a pipe.  Each task computes what
     it would compute in the serial run, so the results are the same bits.
     Every task runs here, in order, when `_usable_cores()` is 1.  As in the
     serial run, the exception of the earliest failing task is raised, with
-    its type and message, and no later task starts; every worker is reaped
-    before this returns or raises.
+    its type and message; every worker still running is then killed, and
+    every worker is reaped before this returns or raises.
     """
     tasks = list(tasks)
-    cores = _usable_cores()
-    if cores < 2 or len(tasks) < 2:
+    if _usable_cores() < 2 or len(tasks) < 2:
         return [task() for task in tasks]
-    todo = collections.deque(enumerate(tasks[1:], start=1))
-    running = collections.deque()       # (index, pid, read end), in task order
-
-    def start():
-        while todo and len(running) < cores - 1:
-            i, task = todo.popleft()
-            running.append((i, *_worker(task)))
-
-    results = []
+    workers = []        # (process, read end) of tasks 1, 2, ...
     try:
-        start()
-        results.append(tasks[0]())
-        while running:
-            i, pid, fh = running[0]
+        for task in tasks[1:]:
+            workers.append(_worker(task))
+        results = [tasks[0]()]
+        for i, (proc, fh) in enumerate(workers, start=1):
             try:
                 ok, value = pickle.load(fh)
             except (EOFError, pickle.UnpicklingError):   # it died before it wrote it all
                 ok = None
-            _, status = os.waitpid(pid, 0)
-            running.popleft()
-            fh.close()
+            proc.join()
             if ok is None:
                 raise RuntimeError(f"task {i} ({getattr(tasks[i], '__qualname__', tasks[i])}) "
-                                   f"ended without a result, exit status "
-                                   f"{os.waitstatus_to_exitcode(status)}")
+                                   f"ended without a result, exit status {proc.exitcode}")
             if not ok:
                 raise value
             results.append(value)
-            start()
         return results
     finally:
-        for _, pid, fh in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for proc, fh in workers:
+            proc.kill()         # a no-op on a worker already reaped
+            proc.join()
             fh.close()
+
+
+def _check_dt_divides(cfg, suite, times):
+    """ConfigError at the time.dt line, before any run, unless dt divides
+    each of `times`: those the suite runs to or stores besides t_final."""
+    dt = cfg.get("time", "dt")
+    for t in times:
+        try:
+            whole_steps(t, dt, "time")
+        except ValueError:
+            raise ConfigError(f"time.dt = {dt} does not divide {float(t)}, a time the "
+                              f"{suite} suite runs to", cfg.line("time", "dt")) from None
 
 
 def _measure_pipeline(cfg, field, grid):
@@ -378,6 +368,10 @@ def _measure_pipeline(cfg, field, grid):
 
 def _suite_core(cfg, field, grid):
     dt, t_final, theta, _ = time_from_config(cfg)
+    check_times = sorted({min(0.1, t_final), min(1.0, t_final), t_final})
+    # the fixed points run to 1, the positivity run to t_pos storing t_pos / 2
+    t_pos = max(1.0, min(2.0, t_final))
+    _check_dt_divides(cfg, "core", check_times + [1.0, t_pos / 2, t_pos])
     r_obs = cfg.get("verify", "R_obs")
     seed = cfg.get("run", "seed")
     xi, mu, sys = _measure_pipeline(cfg, field, grid)
@@ -403,7 +397,6 @@ def _suite_core(cfg, field, grid):
         pos_datum = grid_function_from_callable(
             grid, lambda x: [np.exp(-rowdot(x, x))] + [0.0] * (field.dim_m - 1),
             m=field.dim_m)
-        t_pos = max(1.0, min(2.0, t_final))
         traj_pos = evolve(op, pos_datum, t_pos, dt=dt, theta=1.0,
                           store_times=[t_pos / 2, 1.0, t_pos])
         reports.append(verify_positivity(
@@ -419,7 +412,6 @@ def _suite_core(cfg, field, grid):
 
     def invariance():
         f = data_from_config(cfg, grid, field.dim_m)
-        check_times = sorted({min(0.1, t_final), min(1.0, t_final), t_final})
         tanh, gauss = (grid_function_from_callable(grid, DATA_BUILDERS[name], m=1)
                        for name in ("tanh", "gauss"))
         traj_v, *scalar_runs = evolve([op, op_s, op_s], [f, tanh, gauss], t_final, dt=dt,
@@ -467,6 +459,7 @@ def _suite_asymptotic(cfg, field, grid):
     # joins the block, and it is the nested ladder's run on its rung on this
     # grid, if the ladder has one
     n = max(2, int(t_final))
+    _check_dt_divides(cfg, "asymptotic", range(1, n + 1))
     f_in_block = float(n) == t_final
 
     def block():
@@ -519,6 +512,8 @@ def _suite_asymptotic(cfg, field, grid):
 
 def _suite_counterexample(cfg, field, grid):
     dt, t_final, theta, _ = time_from_config(cfg)
+    t_end = min(t_final, 5.0)
+    _check_dt_divides(cfg, "counterexample", [t_end])
     mu = solve_scalar_invariant_density(field, grid)
     m = field.dim_m
     family = family_from_config(cfg)
@@ -526,7 +521,7 @@ def _suite_counterexample(cfg, field, grid):
 
     def mode(C0):
         cfield = make_builtin(replace(family, coupling_kind="constant_matrix", C0=C0))
-        return counterexample_mode(cfield, f, t_final=min(t_final, 5.0),
+        return counterexample_mode(cfield, f, t_final=t_end,
                                    dt=dt, theta=theta, mu_hat=mu)
 
     # C0 = I here, C0 = -I in a worker

@@ -7,6 +7,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -118,6 +119,22 @@ def test_t_final_not_a_multiple_of_dt_rejected_with_line(fast_cfg, tmp_path, cap
     out = tmp_path / "traj.csv"
     assert run(["simulate", "--config", str(path), "--out", str(out)]) == 2
     assert "line 17: time.t_final" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("suite,dt,t_final,t", [
+    ("core", "3e-3", "3.0", "0.1"), ("asymptotic", "3e-3", "3.0", "1.0"),
+    ("counterexample", "3e-3", "6.0", "5.0"), ("core", "1e-3", "1.001", "0.5005")])
+def test_dt_that_does_not_divide_a_suite_time_rejected_with_line(tmp_path, capsys, suite, dt,
+                                                                 t_final, t):
+    # t_final is a whole number of steps, but a time of the suite's own is not
+    path = tmp_path / "dt.cfg"
+    path.write_text(FAST_CFG.replace("n_per_axis = 161", "n_per_axis = 81")
+                    .replace("dt = 2e-3\nt_final = 2.0\n", f"dt = {dt}\nt_final = {t_final}\n"))
+    out = tmp_path / "report.txt"
+    assert run(["verify", "--config", str(path), "--suite", suite, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: line 16: time.dt = {float(dt)} does not "
+                                       f"divide {t}, a time the {suite} suite runs to\n")
+    assert not out.exists()
 
 
 def test_readme_config_reference_lists_the_schema():
@@ -582,6 +599,8 @@ def test_concurrently_returns_the_serial_results_in_task_order(cores, n_cores):
     pids = [g[2] for g in got]
     assert pids[0] == os.getpid() and len(set(pids[1:]) - {os.getpid()}) == 4
     assert _no_child_left()
+    # and it leaves no thread behind, which would make the next call serial
+    assert threading.active_count() == 1
 
 
 def _fail(exc, delay=0.0):
@@ -613,6 +632,15 @@ def test_concurrently_raises_the_earliest_failure(cores, n_cores):
     assert _no_child_left()
 
 
+def test_concurrently_kills_a_running_worker_when_an_earlier_task_fails(cores):
+    cores(2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="task 0"):
+        _concurrently([_fail(RuntimeError("task 0")), lambda: time.sleep(30)])
+    assert time.monotonic() - start < 5
+    assert _no_child_left()
+
+
 def test_concurrently_runs_serially_on_one_core_and_inside_a_worker(cores, monkeypatch):
     pids = [lambda: os.getpid()] * 3
     cores(1)
@@ -632,10 +660,15 @@ def test_concurrently_names_a_worker_that_died_without_a_result(cores):
     def dies():
         os._exit(3)
 
-    with pytest.raises(RuntimeError, match=r"task 1 \(.*dies\) ended without a result, "
-                                           r"exit status 3"):
-        _concurrently([_square(2), dies])
-    assert _no_child_left()
+    def killed():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    # a worker killed by a signal reads as minus the signal's number
+    for task, status in ((dies, "3"), (killed, "-9")):
+        with pytest.raises(RuntimeError, match=rf"task 1 \(.*{task.__name__}\) ended without "
+                                               rf"a result, exit status {status}$"):
+            _concurrently([_square(2), task])
+        assert _no_child_left()
 
 
 def test_verify_error_in_a_worker_matches_the_serial_run(tmp_path, cores, capsys):

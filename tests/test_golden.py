@@ -267,7 +267,7 @@ def _pretend(monkeypatch, mode):
     if mode == "one-core":
         _one_core(monkeypatch)
     elif mode == "in-worker":
-        monkeypatch.setattr(cli, "_IN_WORKER", True)
+        monkeypatch.setattr(cli.multiprocessing, "parent_process", lambda: os.getppid())
     elif mode == "thread-running":
         monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
 
