@@ -18,7 +18,13 @@ the import path).  One JSON line goes to stdout:
 - `total_cpu_s`: the sum of the two;
 - `vm_hwm_mb`: this process's own peak resident set (`VmHWM` in
   `/proc/self/status`, Linux only, else null), import included and the
-  workers' left out.
+  workers' left out;
+- `children_hwm_mb`: the peak resident set of the largest reaped child
+  (`RUSAGE_CHILDREN` `ru_maxrss`, in kB on Linux).  It is a high-water
+  mark over the life of the process, exec included, so it also counts
+  children reaped before this script started, such as a launcher's
+  helpers (about 3 MB under a pyenv shim).  A forked worker starts with
+  the pages it shares with this process, so this counts them too.
 
 What the command prints goes to stderr, so stdout holds the JSON line alone.
 """
@@ -61,7 +67,9 @@ def main(argv):
     own = cpu(resource.RUSAGE_SELF) - self0
     children = cpu(resource.RUSAGE_CHILDREN) - children0
     print(json.dumps({"rc": rc, "wall_s": wall, "self_cpu_s": own, "children_cpu_s": children,
-                      "total_cpu_s": own + children, "vm_hwm_mb": vm_hwm_mb()}))
+                      "total_cpu_s": own + children, "vm_hwm_mb": vm_hwm_mb(),
+                      "children_hwm_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+                      / 1024.0}))
     return rc
 
 

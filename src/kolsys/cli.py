@@ -76,7 +76,7 @@ from kolsys.properties import (
     verify_semigroup_bounds,
 )
 from kolsys.reports import CheckRecord
-from kolsys.semigroup import evolve, judge_ladder, nested_ladder, whole_steps
+from kolsys.semigroup import _stepping, evolve, judge_ladder, nested_ladder, whole_steps
 
 
 def fmt(x):
@@ -85,7 +85,8 @@ def fmt(x):
 
 
 def atomic_write(path, text):
-    """Write via a temp file in the target directory plus rename.
+    """Write `text`, a str or a list of str chunks, via a temp file in the
+    target directory plus rename.
 
     The file gets the mode a plain open() would give: 0o666 masked by the umask.
     """
@@ -94,12 +95,20 @@ def atomic_write(path, text):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class _Chunks(list):
+    """A text as str chunks, which atomic_write writes one by one, never
+    joined; encode() gives the joined text's bytes, as str.encode does."""
+
+    def encode(self, encoding="utf-8"):
+        return "".join(self).encode(encoding)
 
 
 def _records_text(records):
@@ -185,40 +194,38 @@ def _rows(cells, values):
     return "\n".join(map(",".join, zip(*cells, *(map(repr, row) for row in values.tolist()))))
 
 
-def _trajectory_csv(traj):
-    grid = traj.grid
-    m = traj.m
-    coord_cols = [f"x{i + 1}" for i in range(grid.d)]
-    header = ["t", "node_index"] + coord_cols + [f"u_{k + 1}" for k in range(m)]
-    blocks = [",".join(header)]
-    nodes = _node_cells(grid)
-    for t, values in zip(traj.times, traj.values):
-        blocks.append(_rows([itertools.repeat(fmt(t)), nodes], values))
-    return "\n".join(blocks) + "\n"
+def _trajectory_csv(traj, i, nodes, chunks):
+    """Append to `chunks` the CSV block of stored time i of `traj`, after the
+    header when i is 0; `nodes` holds the node cells of its grid."""
+    if i == 0:
+        header = ["t", "node_index"] + [f"x{k + 1}" for k in range(traj.grid.d)] \
+            + [f"u_{k + 1}" for k in range(traj.m)]
+        chunks.append(",".join(header) + "\n")
+    chunks.append(_rows([itertools.repeat(fmt(traj.times[i])), nodes], traj.values[i]) + "\n")
 
 
 def cmd_simulate(args, cfg):
     field = make_builtin(family_from_config(cfg))
     dt, t_final, theta, store_every = time_from_config(cfg)
+    text = _Chunks()
     if args.nested:
         nest_tol = cfg.get("nest", "nest_tol")
         r_obs = cfg.get("nest", "R_obs")
-        # no local keeps the runs, or the grids and data they start from:
-        # the coarser rungs are freed before the CSV is formatted
+        # no local keeps the runs, or the grids and data they start from
         result = judge_ladder(_ladder_runs(field, *nested_ladder(
             field, data_callable(cfg, field.dim_m), ladder_from_config(cfg), r_obs,
-            cfg.get("grid", "boundary")), t_final, dt, theta, store_every), r_obs, nest_tol)
+            cfg.get("grid", "boundary")), t_final, dt, theta, store_every, csv=text),
+            r_obs, nest_tol)
         for k, disc in enumerate(result.discrepancies, start=1):
             print(f"rung {k} discrepancy = {fmt(disc)}")
         print(f"dirichlet_neumann_gap = {fmt(result.dirichlet_neumann_gap)}")
         converged = verify_nested_convergence(result, nest_tol).passed
         print(f"converged = {converged}")
-        return _trajectory_csv(result.trajectory), 0 if converged else 1
+        return text, 0 if converged else 1
     grid = grid_from_config(cfg)
-    op = assemble_system_operator(field, grid)
-    f = data_from_config(cfg, grid, field.dim_m)
-    traj = evolve(op, f, t_final, dt=dt, theta=theta, store_every=store_every)
-    return _trajectory_csv(traj), 0
+    _stream(_stepping([assemble_system_operator(field, grid)], [data_from_config(
+        cfg, grid, field.dim_m)], t_final, dt, theta, store_every, None), text, 0)
+    return text, 0
 
 
 def cmd_measure(args, cfg):
@@ -236,23 +243,29 @@ def cmd_measure(args, cfg):
     return ",".join(header) + "\n" + _rows([_node_cells(grid)], np.array(columns)) + "\n", 0
 
 
-def _worker(task):
-    """Fork a worker that runs `task` and pickles (ok, result or exception)
-    to a pipe; returns the started process and the pipe's read end."""
+def _pickled(ok, value):
+    """(ok, value) pickled, the frame a worker sends."""
+    try:
+        return pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        return pickle.dumps((False, RuntimeError(f"unpicklable result: {exc}")))
+
+
+def _worker(items):
+    """Fork a worker that evaluates the iterable `items` and pickles
+    (True, item) to a pipe as each item comes, then (False, exception) if
+    that raised; returns the started process and the pipe's read end."""
     r, w = os.pipe()
 
     def target():
         os.close(r)
-        try:
-            out = (True, task())
-        except BaseException as exc:
-            out = (False, exc)
-        try:
-            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            data = pickle.dumps((False, RuntimeError(f"unpicklable result: {exc}")))
         with os.fdopen(w, "wb") as fh:
-            fh.write(data)
+            try:
+                for item in items:
+                    fh.write(_pickled(True, item))
+                    fh.flush()
+            except BaseException as exc:
+                fh.write(_pickled(False, exc))
 
     proc = multiprocessing.get_context("fork").Process(target=target)
     try:
@@ -265,11 +278,33 @@ def _worker(task):
     return proc, os.fdopen(r, "rb")
 
 
+def _received(worker, name):
+    """The next item `worker` sends, or the exception it sends raised here;
+    RuntimeError naming its task, `name`, if it ended without sending it."""
+    proc, fh = worker
+    try:
+        ok, value = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError):   # it died before it wrote it all
+        proc.join()
+        raise RuntimeError(f"{name} ended without a result, exit status {proc.exitcode}") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _reap(workers):
+    """Kill every worker still running, then join each and close its pipe."""
+    for proc, fh in workers:
+        proc.kill()         # a no-op on a worker already reaped
+        proc.join()
+        fh.close()
+
+
 def _usable_cores():
-    """The cores _concurrently may run tasks on: 1, so that every task runs
-    in this process, when one core is usable (or the platform cannot fork or
-    tell), when another Python thread runs (forking it could deadlock), or
-    inside a worker."""
+    """The cores _concurrently and _stream may use: 1, so that everything
+    runs in this process, when one core is usable (or the platform cannot
+    fork or tell), when another Python thread runs (forking it could
+    deadlock), or inside a worker."""
     if multiprocessing.parent_process() is not None or threading.active_count() > 1 \
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
@@ -289,22 +324,57 @@ def _balanced(ops, n):
     return [sorted(s) for s in stacks if s]
 
 
-def _ladder_runs(field, grids, data, t_final, dt, theta, store_every):
+def _ladder_runs(field, grids, data, t_final, dt, theta, store_every, csv=None):
     """The runs of the system operator of `field` on each of `grids` from
     the datum of `data` on it, in `grids` order, evolved as row-balanced
     stacks (`_balanced`), one per usable core, each one task of
-    `_concurrently`."""
+    `_concurrently`.  With `csv`, a list, the CSV of run len(grids) - 2, a
+    ladder's final rung, goes into it through `_stream`, and its stack is
+    task 0, so that on two or more cores every stack steps in a worker."""
     ops = [assemble_system_operator(field, g) for g in grids]
+    final = len(ops) - 2
+    stacks = sorted(_balanced(ops, _usable_cores()), key=lambda rows: final not in rows)
 
     def stack(rows):
+        if csv is not None and final in rows:
+            return lambda: _stream(_stepping([ops[i] for i in rows], [data[i] for i in rows],
+                                             t_final, dt, theta, store_every, None),
+                                   csv, rows.index(final))
         return lambda: evolve([ops[i] for i in rows], [data[i] for i in rows], t_final,
                               dt=dt, theta=theta, store_every=store_every)
 
-    stacks = _balanced(ops, _usable_cores())
     # the runs come stack by stack: each goes back to its grid's index
     runs = dict(zip(itertools.chain.from_iterable(stacks), itertools.chain.from_iterable(
         _concurrently([stack(rows) for rows in stacks]))))
     return [runs[i] for i in range(len(ops))]
+
+
+def _stream(steps, csv, at):
+    """evolve's result from `steps`, a fresh `_stepping` generator of a
+    stack, with the CSV of its run `at` put into the list `csv` one stored
+    time at a time.  On one usable core this process steps and formats in
+    turn; else a worker steps and sends each stored state over a pipe into
+    the result's arrays, and this process formats them as they come.  The
+    worker's failure is raised here, and the worker reaped, as in
+    _concurrently."""
+    result, outs = next(steps)
+    run, nodes = result[at], _node_cells(result[at].grid)
+    _trajectory_csv(run, 0, nodes, csv)
+    if _usable_cores() < 2:
+        for i in steps:
+            _trajectory_csv(run, i, nodes, csv)
+        return result
+    worker = _worker(tuple(out[:, i] for out in outs) for i in steps)
+    steps.close()       # the worker steps: this process frees its copy of the stepper
+    try:
+        for i in range(1, len(run.times)):
+            for out, state in zip(outs, _received(worker, f"task 0 ({steps.__qualname__})")):
+                out[:, i] = state
+            _trajectory_csv(run, i, nodes, csv)
+        worker[0].join()
+    finally:
+        _reap([worker])
+    return result
 
 
 def _concurrently(tasks):
@@ -325,26 +395,15 @@ def _concurrently(tasks):
     workers = []        # (process, read end) of tasks 1, 2, ...
     try:
         for task in tasks[1:]:
-            workers.append(_worker(task))
+            workers.append(_worker(t() for t in [task]))
         results = [tasks[0]()]
-        for i, (proc, fh) in enumerate(workers, start=1):
-            try:
-                ok, value = pickle.load(fh)
-            except (EOFError, pickle.UnpicklingError):   # it died before it wrote it all
-                ok = None
-            proc.join()
-            if ok is None:
-                raise RuntimeError(f"task {i} ({getattr(tasks[i], '__qualname__', tasks[i])}) "
-                                   f"ended without a result, exit status {proc.exitcode}")
-            if not ok:
-                raise value
-            results.append(value)
+        for i, worker in enumerate(workers, start=1):
+            results.append(_received(
+                worker, f"task {i} ({getattr(tasks[i], '__qualname__', tasks[i])})"))
+            worker[0].join()
         return results
     finally:
-        for proc, fh in workers:
-            proc.kill()         # a no-op on a worker already reaped
-            proc.join()
-            fh.close()
+        _reap(workers)
 
 
 def _check_dt_divides(cfg, suite, times):

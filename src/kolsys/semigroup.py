@@ -351,6 +351,18 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     check, naming the time (and, in a stack, the operator's block), and says
     so when the state has left the finite range (instability).
     """
+    steps = _stepping(op, f, t_final, dt, theta, store_every, store_times)
+    result, _ = next(steps)
+    for _ in steps:
+        pass
+    return result
+
+
+def _stepping(op, f, t_final, dt, theta, store_every, store_times):
+    """evolve's one stepping loop.  It yields (result, outs) first: evolve's
+    result, whose runs' values are read-only views of `outs`, one (k,
+    n_times, m, N) array per operator, the initial data stored; then the
+    index of each later stored time once its states are in outs."""
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     n_steps = whole_steps(t_final, dt, "t_final")
@@ -373,18 +385,19 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     outs = [np.zeros((k, len(marks), o.m, o.grid.n_nodes)) for o in ops]
     for out, d in zip(outs, data):
         out[:, 0] = [g.values for g in d]
+    results = []
+    for o, out, many in zip(ops, outs, batched):
+        trajectories = [Trajectory(times=np.array(marks) * dt, values=v, grid=o.grid, dt=dt,
+                                   theta=theta, boundary_kind=o.boundary_kind) for v in out]
+        results.append(trajectories if many else trajectories[0])
+    yield (results if stacked else results[0]), outs
     slot = {s: i for i, s in enumerate(marks)}
     for s in range(1, n_steps + 1):
         u = stepper.step(u)
         if s in slot:
             for o, out, (lo, hi) in zip(ops, outs, stepper.blocks):
                 out[:, slot[s]][..., o.dof_indices] = u[lo:hi].T.reshape(k, o.m, o.n_dof)
-    results = []
-    for o, out, many in zip(ops, outs, batched):
-        trajectories = [Trajectory(times=np.array(marks) * dt, values=v, grid=o.grid, dt=dt,
-                                   theta=theta, boundary_kind=o.boundary_kind) for v in out]
-        results.append(trajectories if many else trajectories[0])
-    return results if stacked else results[0]
+            yield slot[s]
 
 
 def cesaro_average(traj: Trajectory) -> GridFunction:

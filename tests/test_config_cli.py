@@ -556,6 +556,9 @@ def test_cpu_total_reports_one_json_line_and_the_command_exit_code(fast_cfg, tmp
     assert rec["total_cpu_s"] == rec["self_cpu_s"] + rec["children_cpu_s"]
     assert min(rec["wall_s"], rec["self_cpu_s"], rec["vm_hwm_mb"]) > 0
     assert rec["children_cpu_s"] >= 0
+    # the suite forks one worker when two cores are usable
+    assert rec["children_hwm_mb"] > 0 if len(os.sched_getaffinity(0)) > 1 else \
+        rec["children_hwm_mb"] >= 0
 
 
 # -- _concurrently: independent tasks, the first here and the others in forked workers
@@ -716,3 +719,64 @@ def test_simulate_nested_error_in_a_worker_matches_the_serial_run(tmp_path, core
         [(2, "", "error: step failed at the twin\n", False),
          (2, "", "error: step failed at the twin\n", True)]
     assert os.listdir(tmp_path) == ["nested.cfg"]
+
+
+UNSTABLE_CFG = FAST_CFG.replace("dt = 2e-3", "dt = 0.1").replace(
+    "t_final = 2.0", "t_final = 20.0").replace("theta = 0.5", "theta = 0.0")
+
+
+def test_simulate_error_in_the_stepping_worker_matches_the_serial_run(tmp_path, cores, capsys,
+                                                                      monkeypatch):
+    # explicit Euler at dt = 0.1 blows up; on two cores the run steps in a
+    # worker that streams its states, on one it steps here
+    path = tmp_path / "unstable.cfg"
+    path.write_text(UNSTABLE_CFG)
+    stepped_in = multiprocessing.Value("q", 0)
+    real_step = ThetaStepper.step
+
+    def step(self, u):
+        stepped_in.value = os.getpid()
+        return real_step(self, u)
+
+    monkeypatch.setattr(ThetaStepper, "step", step)
+    seen = []
+    for n_cores in (2, 1):
+        cores(n_cores)
+        code = run(["simulate", "--config", str(path), "--out", str(tmp_path / "traj.csv")])
+        seen.append((code, capsys.readouterr(), stepped_in.value == os.getpid()))
+        assert _no_child_left()
+    assert [(code, out, err, here) for code, (out, err), here in seen] == \
+        [(2, "", "error: non-finite state at t = 13.3; time step unstable for this operator\n",
+          False),
+         (2, "", "error: non-finite state at t = 13.3; time step unstable for this operator\n",
+          True)]
+    assert os.listdir(tmp_path) == ["unstable.cfg"]
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_stepping_worker_killed_mid_run_is_named(tmp_path, cores, capsys, monkeypatch, nested):
+    # the worker that streams the run written dies of SIGKILL after its
+    # 20th step, with stored states already sent
+    path = tmp_path / "fast.cfg"
+    path.write_text(FAST_CFG.replace("[verify]", "[nest]\nladder = 4:161, 6:241\n"
+                                     "nest_tol = 1e-4\nR_obs = 3.0\n\n[verify]")
+                    .replace("t_final = 2.0", "t_final = 0.2"))
+    here, steps = os.getpid(), []
+    real_step = ThetaStepper.step
+
+    def step(self, u):
+        if os.getpid() != here and any(op.grid.L == 6.0 and op.boundary_kind == "neumann"
+                                       for op in self.ops):
+            steps.append(None)
+            if len(steps) == 20:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real_step(self, u)
+
+    monkeypatch.setattr(ThetaStepper, "step", step)
+    cores(2)
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "traj.csv")]
+    assert run(argv + ["--nested"] * nested) == 2
+    assert capsys.readouterr().err == \
+        "error: task 0 (_stepping) ended without a result, exit status -9\n"
+    assert _no_child_left()
+    assert os.listdir(tmp_path) == ["fast.cfg"]

@@ -1,7 +1,7 @@
 """Golden bytes: SHA-256 of the check report, the measure CSV and the simulate
 CSV for a small anisotropic d = 2 config, and of the core, asymptotic and
-rates reports, the sweep summary and the simulate --nested CSV and stdout for
-small d = 1 configs.
+rates reports, the sweep summary, the simulate CSV and the simulate --nested
+CSV and stdout for small d = 1 configs.
 
 The d = 2 hashes were captured on the code before the coefficient fields
 were batched, the d = 1 hashes on the code before time stepping was batched,
@@ -18,6 +18,7 @@ operation moved it and by how much.
 import hashlib
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -164,6 +165,9 @@ GOLDEN = {
     "check-zeta3": (("check", "--kp"), ZETA3_CFG, 0, "d64fb46e237c854315e79ef5715d6a6f5e1a9ba578bf0307b04a2a7bfdbdce9a"),
     "measure": (("measure",), MEASURE_CFG, 0, "1bd66d55a6ec76d231270b13cc8735250ed09538319296a4923226a5a17cbec4"),
     "simulate": (("simulate",), GOLDEN_CFG, 0, "0b77f7d20afb69bc47ebed54b81cf7290b4ac3067f7064eeadfb9292ff10fa89"),
+    # pinned before simulate formatted its CSV while the run steps, with no
+    # source file edited
+    "simulate-d1": (("simulate",), D1_CFG, 0, "b2a243aa2207830d23c53c3b4b9a6936e4eea9c06a32a205ea4245ab3bdf5bfd"),
     "simulate-nested": (("simulate", "--nested"), NESTED_CFG, 0, "bcaa27c9b37a0419e83ed99be22a44292a597c5a17e77d0b3fc57bc927b7c7b0"),
     "verify-core": (("verify", "--suite", "core"), D1_CFG, 0, "79595f485d89a36bf82ba0c862c57a4a99f8bd2c899eceed15af3eeb3d66dae6"),
     "verify-asymptotic": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_CFG, 1, "20039fc77c5cb455d5a0eadc628784da618dcd7807d0c8d2b1b2ac0d40abde3f"),
@@ -289,3 +293,22 @@ def test_simulate_nested_stacks_per_usable_core(tmp_path, monkeypatch, mode):
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
                 "--nested"]) == 0
     assert tuple(counts[:]) == NESTED_STEP_COUNTS[mode]
+
+
+# steps of plain simulate: its one run, 5 steps on GOLDEN_CFG and 750 on D1_CFG
+SIMULATE_STEPS = {"simulate": 5, "simulate-d1": 750}
+
+
+@pytest.mark.parametrize("mode", sorted(NESTED_STEP_COUNTS))
+@pytest.mark.parametrize("name", sorted(SIMULATE_STEPS))
+def test_simulate_bytes_and_steps_in_every_mode(tmp_path, capsys, monkeypatch, mode, name):
+    # on two cores a worker steps the run and streams its stored states to
+    # this process, which formats them; otherwise this process steps and
+    # formats in turn.  The bytes are the same, the run steps once, and no
+    # thread is left behind, which would make the next command serial.
+    counts = _count_steps(monkeypatch)
+    _pretend(monkeypatch, mode)
+    test_output_bytes_pinned(tmp_path, capsys, name)
+    assert tuple(counts[:]) == (SIMULATE_STEPS[name],) * 2
+    monkeypatch.undo()      # "thread-running" pretends a second thread
+    assert threading.active_count() == 1
