@@ -14,6 +14,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import multiprocessing
 import os
@@ -251,10 +252,22 @@ def _pickled(ok, value):
         return pickle.dumps((False, RuntimeError(f"unpicklable result: {exc}")))
 
 
-def _worker(items):
-    """Fork a worker that evaluates the iterable `items` and pickles
-    (True, item) to a pipe as each item comes, then (False, exception) if
-    that raised; returns the started process and the pipe's read end."""
+@contextlib.contextmanager
+def _forked(items, name):
+    """An iterator over the items of the generator `items`.
+
+    On two or more usable cores a worker forked on entry evaluates `items`
+    and pickles each item to a pipe as it comes, or the exception it raised;
+    this process drops its copy of `items` and reads them back, raising that
+    exception with its type and message, or RuntimeError naming `name` if
+    the worker ends before the next item, whatever its exit status: callers
+    read only the items they know are coming.  On one usable core it is
+    `items` itself, evaluated here as it is read.  On exit a worker still
+    running is killed, joined and its pipe closed.
+    """
+    if _usable_cores() < 2:
+        yield items
+        return
     r, w = os.pipe()
 
     def target():
@@ -267,44 +280,37 @@ def _worker(items):
             except BaseException as exc:
                 fh.write(_pickled(False, exc))
 
+    def received():
+        while True:
+            try:
+                ok, value = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):   # it died before it wrote it all
+                proc.join()
+                raise RuntimeError(
+                    f"{name} ended without a result, exit status {proc.exitcode}") from None
+            if not ok:
+                raise value
+            yield value
+
     proc = multiprocessing.get_context("fork").Process(target=target)
-    try:
-        proc.start()
-    except BaseException:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    return proc, os.fdopen(r, "rb")
-
-
-def _received(worker, name):
-    """The next item `worker` sends, or the exception it sends raised here;
-    RuntimeError naming its task, `name`, if it ended without sending it."""
-    proc, fh = worker
-    try:
-        ok, value = pickle.load(fh)
-    except (EOFError, pickle.UnpicklingError):   # it died before it wrote it all
-        proc.join()
-        raise RuntimeError(f"{name} ended without a result, exit status {proc.exitcode}") from None
-    if not ok:
-        raise value
-    return value
-
-
-def _reap(workers):
-    """Kill every worker still running, then join each and close its pipe."""
-    for proc, fh in workers:
-        proc.kill()         # a no-op on a worker already reaped
-        proc.join()
-        fh.close()
+    with os.fdopen(r, "rb") as fh:
+        try:
+            proc.start()
+        finally:
+            os.close(w)
+        items.close()       # the worker evaluates items: this process frees its copy
+        try:
+            yield received()
+        finally:
+            proc.kill()     # a no-op on a worker already reaped
+            proc.join()
 
 
 def _usable_cores():
-    """The cores _concurrently and _stream may use: 1, so that everything
-    runs in this process, when one core is usable (or the platform cannot
-    fork or tell), when another Python thread runs (forking it could
-    deadlock), or inside a worker."""
+    """The cores _forked may use: 1, so that everything runs in this
+    process, when one core is usable (or the platform cannot fork or tell),
+    when another Python thread runs (forking it could deadlock), or inside
+    a worker."""
     if multiprocessing.parent_process() is not None or threading.active_count() > 1 \
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
@@ -352,58 +358,40 @@ def _ladder_runs(field, grids, data, t_final, dt, theta, store_every, csv=None):
 def _stream(steps, csv, at):
     """evolve's result from `steps`, a fresh `_stepping` generator of a
     stack, with the CSV of its run `at` put into the list `csv` one stored
-    time at a time.  On one usable core this process steps and formats in
-    turn; else a worker steps and sends each stored state over a pipe into
-    the result's arrays, and this process formats them as they come.  The
-    worker's failure is raised here, and the worker reaped, as in
-    _concurrently."""
+    time at a time.  The stored states come through `_forked`: on two or
+    more usable cores a worker steps and sends each one over a pipe into
+    the result's arrays, and this process formats them as they come; on one
+    this process steps and formats in turn."""
     result, outs = next(steps)
     run, nodes = result[at], _node_cells(result[at].grid)
     _trajectory_csv(run, 0, nodes, csv)
-    if _usable_cores() < 2:
-        for i in steps:
-            _trajectory_csv(run, i, nodes, csv)
-        return result
-    worker = _worker(tuple(out[:, i] for out in outs) for i in steps)
-    steps.close()       # the worker steps: this process frees its copy of the stepper
-    try:
+    states = (tuple(out[:, i] for out in outs) for i in steps)
+    with _forked(states, f"task 0 ({steps.__qualname__})") as states:
+        del steps       # once a worker steps, this frees this process's copy of the stepper
         for i in range(1, len(run.times)):
-            for out, state in zip(outs, _received(worker, f"task 0 ({steps.__qualname__})")):
+            for out, state in zip(outs, next(states)):
                 out[:, i] = state
             _trajectory_csv(run, i, nodes, csv)
-        worker[0].join()
-    finally:
-        _reap([worker])
     return result
 
 
 def _concurrently(tasks):
-    """The results of the zero-argument callables `tasks`, in order.
+    """The results of the list `tasks` of zero-argument callables, in order.
 
-    The first task runs in this process and every other one in a worker
-    forked for it, all at once: callers pass at most one task per usable
-    core.  Results come back pickled over a pipe.  Each task computes what
-    it would compute in the serial run, so the results are the same bits.
-    Every task runs here, in order, when `_usable_cores()` is 1.  As in the
-    serial run, the exception of the earliest failing task is raised, with
-    its type and message; every worker still running is then killed, and
-    every worker is reaped before this returns or raises.
+    The first task runs in this process and every other one through a
+    `_forked` of its own, entered for all of them at once: callers pass at
+    most one task per usable core.  Each task computes what it would
+    compute in the serial run, so the results are the same bits; every task
+    runs here, in order, when `_usable_cores()` is 1.  As in the serial
+    run, the exception of the earliest failing task is raised, with its
+    type and message; every worker still running is then killed, and every
+    worker is reaped before this returns or raises.
     """
-    tasks = list(tasks)
-    if _usable_cores() < 2 or len(tasks) < 2:
-        return [task() for task in tasks]
-    workers = []        # (process, read end) of tasks 1, 2, ...
-    try:
-        for task in tasks[1:]:
-            workers.append(_worker(t() for t in [task]))
-        results = [tasks[0]()]
-        for i, worker in enumerate(workers, start=1):
-            results.append(_received(
-                worker, f"task {i} ({getattr(tasks[i], '__qualname__', tasks[i])})"))
-            worker[0].join()
-        return results
-    finally:
-        _reap(workers)
+    with contextlib.ExitStack() as stack:
+        rest = [stack.enter_context(_forked(
+            (t() for t in [task]), f"task {i} ({getattr(task, '__qualname__', task)})"))
+            for i, task in enumerate(tasks[1:], start=1)]
+        return [task() for task in tasks[:1]] + [next(results) for results in rest]
 
 
 def _check_dt_divides(cfg, suite, times):

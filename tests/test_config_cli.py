@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -666,8 +667,12 @@ def test_concurrently_names_a_worker_that_died_without_a_result(cores):
     def killed():
         os.kill(os.getpid(), signal.SIGKILL)
 
-    # a worker killed by a signal reads as minus the signal's number
-    for task, status in ((dies, "3"), (killed, "-9")):
+    def exits():
+        os._exit(0)
+
+    # a worker killed by a signal reads as minus the signal's number, and a
+    # clean exit before the result is no result either
+    for task, status in ((dies, "3"), (killed, "-9"), (exits, "0")):
         with pytest.raises(RuntimeError, match=rf"task 1 \(.*{task.__name__}\) ended without "
                                                rf"a result, exit status {status}$"):
             _concurrently([_square(2), task])
@@ -753,14 +758,19 @@ def test_simulate_error_in_the_stepping_worker_matches_the_serial_run(tmp_path, 
     assert os.listdir(tmp_path) == ["unstable.cfg"]
 
 
+# FAST_CFG with a two-rung ladder, run to t = 0.2: 100 steps, each stored
+STREAM_CFG = FAST_CFG.replace("[verify]", "[nest]\nladder = 4:161, 6:241\n"
+                              "nest_tol = 1e-4\nR_obs = 3.0\n\n[verify]") \
+    .replace("t_final = 2.0", "t_final = 0.2")
+
+
 @pytest.mark.parametrize("nested", [False, True])
 def test_a_stepping_worker_killed_mid_run_is_named(tmp_path, cores, capsys, monkeypatch, nested):
-    # the worker that streams the run written dies of SIGKILL after its
-    # 20th step, with stored states already sent
+    # the worker that streams the run written dies after its 20th step, with
+    # stored states already sent: of SIGKILL, or by a clean exit, which ends
+    # the states as early
     path = tmp_path / "fast.cfg"
-    path.write_text(FAST_CFG.replace("[verify]", "[nest]\nladder = 4:161, 6:241\n"
-                                     "nest_tol = 1e-4\nR_obs = 3.0\n\n[verify]")
-                    .replace("t_final = 2.0", "t_final = 0.2"))
+    path.write_text(STREAM_CFG)
     here, steps = os.getpid(), []
     real_step = ThetaStepper.step
 
@@ -769,14 +779,79 @@ def test_a_stepping_worker_killed_mid_run_is_named(tmp_path, cores, capsys, monk
                                        for op in self.ops):
             steps.append(None)
             if len(steps) == 20:
-                os.kill(os.getpid(), signal.SIGKILL)
+                end()
         return real_step(self, u)
 
     monkeypatch.setattr(ThetaStepper, "step", step)
     cores(2)
     argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "traj.csv")]
-    assert run(argv + ["--nested"] * nested) == 2
-    assert capsys.readouterr().err == \
-        "error: task 0 (_stepping) ended without a result, exit status -9\n"
+    for end, status in ((lambda: os.kill(os.getpid(), signal.SIGKILL), "-9"),
+                        (lambda: os._exit(0), "0")):
+        assert run(argv + ["--nested"] * nested) == 2
+        assert capsys.readouterr().err == \
+            f"error: task 0 (_stepping) ended without a result, exit status {status}\n"
+        assert _no_child_left()
+        assert os.listdir(tmp_path) == ["fast.cfg"]
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_failure_here_kills_the_streaming_worker(tmp_path, cores, capsys, monkeypatch, nested):
+    # formatting the 3rd stored time fails here while a worker steps on; each
+    # worker then sleeps 30 s at its 20th step, so a fast return shows that
+    # it was killed, not waited for
+    path = tmp_path / "fast.cfg"
+    path.write_text(STREAM_CFG)
+    here, steps = os.getpid(), []
+    real_step, real_csv = ThetaStepper.step, cli._trajectory_csv
+
+    def step(self, u):
+        if os.getpid() != here:
+            steps.append(None)
+            if len(steps) == 20:
+                time.sleep(30)
+        return real_step(self, u)
+
+    def trajectory_csv(traj, i, nodes, chunks):
+        if i == 2:
+            raise OSError("no space left for the 3rd stored time")
+        real_csv(traj, i, nodes, chunks)
+
+    monkeypatch.setattr(ThetaStepper, "step", step)
+    monkeypatch.setattr(cli, "_trajectory_csv", trajectory_csv)
+    cores(2)
+    start = time.monotonic()
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "traj.csv")]
+               + ["--nested"] * nested) == 2
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == "error: no space left for the 3rd stored time\n"
     assert _no_child_left()
     assert os.listdir(tmp_path) == ["fast.cfg"]
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_the_command_frees_its_stepper_once_a_worker_steps(tmp_path, cores, monkeypatch,
+                                                            nested):
+    # the stepper of the streamed stack is made here, before the fork; once a
+    # worker steps, the command's copy must be gone by the first state it gets
+    path = tmp_path / "fast.cfg"
+    path.write_text(STREAM_CFG)
+    here, made, seen = os.getpid(), [], []
+    real_init, real_csv = ThetaStepper.__init__, cli._trajectory_csv
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if os.getpid() == here:
+            made.append(weakref.ref(self))
+
+    def trajectory_csv(traj, i, nodes, chunks):
+        if i == 1:
+            seen.append([ref() is None for ref in made])
+        real_csv(traj, i, nodes, chunks)
+
+    monkeypatch.setattr(ThetaStepper, "__init__", init)
+    monkeypatch.setattr(cli, "_trajectory_csv", trajectory_csv)
+    cores(2)
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "traj.csv")]
+               + ["--nested"] * nested) == 0
+    assert seen == [[True]]
+    assert _no_child_left()
