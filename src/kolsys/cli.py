@@ -307,10 +307,10 @@ def _forked(items, name):
 
 
 def _usable_cores():
-    """The cores _forked may use: 1, so that everything runs in this
-    process, when one core is usable (or the platform cannot fork or tell),
-    when another Python thread runs (forking it could deadlock), or inside
-    a worker."""
+    """The cores _forked may fork for and _ladder_runs splits a ladder
+    over: 1, so that everything runs here as one stack, when one core is
+    usable (or the platform cannot fork or tell), when another Python
+    thread runs (forking it could deadlock), or inside a worker."""
     if multiprocessing.parent_process() is not None or threading.active_count() > 1 \
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
