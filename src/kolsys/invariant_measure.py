@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kolsys.coefficients import CoefficientField, _float_or_array, libm_pow
@@ -104,21 +103,21 @@ def _normalize(grid, rho, clip_tol):
 def solve_scalar_invariant_density(field: CoefficientField, grid: Grid,
                                    tol=1e-10, max_iter=50,
                                    clip_tol=1e-6) -> MeasureDensity:
-    """Kernel of the discrete adjoint operator by shifted inverse iteration.
+    """Kernel of the discrete adjoint operator by inverse iteration.
 
     Stops when ||A* rho|| <= tol * ||A*|| * ||rho|| in the max norm (the
-    residual is scaled by the operator norm).  Tiny negative kernel entries
-    are clipped and their relative mass reported; more than `clip_tol` of
-    clipped mass aborts with a diagnostic.
+    residual is scaled by the operator norm).  A singular adjoint raises
+    RuntimeError.  Tiny negative kernel entries are clipped and their
+    relative mass reported; more than `clip_tol` of clipped mass aborts.
     """
     adj = assemble_adjoint_operator(field, grid)
     A = adj.matrix.tocsc()
     op_scale = float(np.abs(A).sum(axis=1).max())
     try:
         lu = spla.splu(A)
-    except RuntimeError:
-        shift = 1e-12 * op_scale
-        lu = spla.splu((A - shift * sp.identity(A.shape[0], format="csc")).tocsc())
+    except RuntimeError as exc:
+        raise RuntimeError(f"discrete adjoint is singular on the grid d = {grid.d}, L = {grid.L:g}, "
+                           f"{grid.n_per_axis} nodes per axis: {exc}") from exc
 
     x_int = grid.nodes[adj.dof_indices]
     y = np.exp(-0.5 * np.sum(x_int * x_int, axis=1))

@@ -171,6 +171,9 @@ GOLDEN = {
     "simulate-nested": (("simulate", "--nested"), NESTED_CFG, 0, "bcaa27c9b37a0419e83ed99be22a44292a597c5a17e77d0b3fc57bc927b7c7b0"),
     "verify-core": (("verify", "--suite", "core"), D1_CFG, 0, "79595f485d89a36bf82ba0c862c57a4a99f8bd2c899eceed15af3eeb3d66dae6"),
     "verify-asymptotic": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_CFG, 1, "20039fc77c5cb455d5a0eadc628784da618dcd7807d0c8d2b1b2ac0d40abde3f"),
+    # no [nest] section: the block's three lines alone.  Pinned before a
+    # singular density adjoint became an error, with no source file edited
+    "verify-asymptotic-no-nest": (("verify", "--suite", "asymptotic"), D1_CFG, 1, "94de20905ff96246f715111a0a6e8b8940eb1148219b92bf1278d5c7da1e9e90"),
     "verify-asymptotic-t2.5": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_T_CFG, 1, "b802c09272316060fa201c92bdc88b35ae2df14bae18547e86573c76a2a63c43"),
     "verify-asymptotic-mid-rung": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_MID_CFG, 1, "c20d5f712688201c1a2b5e47a6c521467497b70bf16cdbbedcaa1d3b873d2ac8"),
     "verify-asymptotic-off-ladder": (("verify", "--suite", "asymptotic"), ASYMPTOTIC_OFF_CFG, 1, "8dadc37e1df3cb96fd11774774c23561fa6370134473b4b38bdbe3697349da1c"),
@@ -274,6 +277,20 @@ def _pretend(monkeypatch, mode):
         monkeypatch.setattr(cli.multiprocessing, "parent_process", lambda: os.getppid())
     elif mode == "thread-running":
         monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
+
+
+@pytest.mark.parametrize("mode", ["one-core", "two-cores"])
+def test_asymptotic_suite_without_a_ladder(tmp_path, capsys, monkeypatch, mode):
+    # with no [nest] section the suite has no ladder task to run beside its
+    # block: no worker on any number of cores, and the same bytes
+    _pretend(monkeypatch, mode)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+    test_output_bytes_pinned(tmp_path, capsys, "verify-asymptotic-no-nest")
+    rows = [line.split(", ") for line in (tmp_path / "out.txt").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["longtime_convergence", "l2_gradient_decay",
+                                        "cesaro_identity"]
+    # the exit code is 1 exactly when a line fails
+    assert GOLDEN["verify-asymptotic-no-nest"][2] == int(any(row[1] != "pass" for row in rows))
 
 
 # (steps, run-steps) of simulate --nested on NESTED_CFG, by how many cores it

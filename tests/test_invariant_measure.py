@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import kolsys.cli as cli
 from kolsys.coefficients import BuiltinFamily, CoefficientField, make_builtin
 from kolsys.discretization import (
     GridFunction,
@@ -321,6 +322,40 @@ def test_density_solve_diagnoses_small_box():
         solve_scalar_invariant_density(field, grid)
 
 
+def degenerate_field():
+    """Exchange coupling on a field whose diffusion and drift vanish for
+    |x| >= 3: its generator is zero there, so no density is determined."""
+    def inside(x):
+        return float(abs(x[0]) < 3.0)
+    return CoefficientField.from_pointwise(
+        1, 2, lambda x: np.eye(1) * inside(x), lambda x: -x * inside(x),
+        lambda x: np.array([[-1.0, 1.0], [1.0, -1.0]]))
+
+
+SINGULAR = "discrete adjoint is singular on the grid d = 1, L = 6, 121 nodes per axis"
+
+
+def test_singular_adjoint_is_an_error():
+    # a shifted factor would give a "density" with nearly all its mass where
+    # the generator is zero, and no clipped mass to flag it
+    with pytest.raises(RuntimeError, match=f"^{SINGULAR}: Factor is exactly singular$"):
+        solve_scalar_invariant_density(degenerate_field(), build_grid(1, 6.0, 121))
+
+
+@pytest.mark.parametrize("argv", [("measure",), ("verify", "--suite", "counterexample")],
+                         ids=["measure", "verify"])
+def test_singular_adjoint_fails_the_command_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    path = tmp_path / "degenerate.cfg"
+    path.write_text("[problem]\nd = 1\nm = 2\n\n[grid]\nL = 6.0\nn_per_axis = 121\n"
+                    "boundary = neumann\n\n[time]\ndt = 1e-2\nt_final = 1.0\n")
+    monkeypatch.setattr(cli, "make_builtin", lambda family: degenerate_field())
+    out = tmp_path / "out.txt"
+    assert cli.run([argv[0], "--config", str(path), "--out", str(out), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {SINGULAR}: ")
+    assert not out.exists()
+
+
 def test_normalize_rejects_large_negative_mass():
     grid = build_grid(1, 1.0, 11)
     rho = np.ones(grid.n_nodes)
@@ -337,3 +372,16 @@ def test_normalize_clips_tiny_negatives():
     assert np.all(out >= 0)
     assert clip <= 1e-6
     assert residual <= 1e-12
+
+
+@pytest.mark.parametrize("rel,aborts", [(2e-6, True), (5e-7, False)], ids=["2e-6", "5e-7"])
+def test_clipped_mass_abort_at_its_threshold(rel, aborts):
+    # one node of weight 0.2 at -c clips 0.2 c of the mass 1.8 - 0.2 c
+    grid = build_grid(1, 1.0, 11)
+    rho = np.ones(grid.n_nodes)
+    rho[3] = -9.0 * rel / (1.0 + rel)
+    if aborts:
+        with pytest.raises(RuntimeError, match=r"negative density mass 2\.000e-06 exceeds 1\.0e-06"):
+            _normalize(grid, rho, clip_tol=1e-6)
+    else:
+        assert _normalize(grid, rho, clip_tol=1e-6)[3] == pytest.approx(rel, rel=1e-12)

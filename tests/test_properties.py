@@ -569,6 +569,25 @@ def test_counterexample_requires_constant_coupling(setup):
         counterexample_mode(field, f, t_final=0.5)
 
 
+def test_longtime_plateau_off_the_quadrature_limit_fails(setup):
+    # states that settle at (M_f + 2e-3) xi: the final error and the L^2
+    # distance are inside longtime_tol = 1e-2 and the tail is flat, but
+    # <T(t)f, xi> sits 2e-3 from M_f, above plateau_tol = 1e-3
+    _, grid, _, _, _, _, sys = setup
+    f = tanh_gauss(grid)
+    m_f = functional_Mf(f, sys)
+    times = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    settled = (m_f + 2e-3) * xi_function(grid).values
+    values = np.array([f.values, 0.5 * (f.values + settled)] + [settled] * 3)
+    traj = Trajectory(times=times, values=values, grid=grid, dt=0.5, theta=1.0,
+                      boundary_kind="neumann")
+    rep = verify_longtime(traj, sys, r_obs=3.0, longtime_tol=1e-2, plateau_tol=1e-3)
+    assert rep.status == "fail"
+    assert rep.measured == pytest.approx(2e-3, rel=1e-9)
+    assert rep.details["monotone_after"] and rep.details["l2_distance"] <= 1e-2
+    assert rep.details["plateau_gap"] == pytest.approx(2e-3, rel=1e-9)
+
+
 def test_jordan_exchange_matrix():
     C0 = np.array([[-1.0, 1.0], [1.0, -1.0]])
     rep = jordan_asymptotics_check(C0, np.array([1.0, 0.0]), np.linspace(0.0, 8.0, 17))
@@ -592,6 +611,16 @@ def test_jordan_symmetric_3x3():
     rep = jordan_asymptotics_check(C0, g, np.linspace(0.0, 6.0, 13))
     assert rep.passed
     assert np.allclose(rep.details["limit"], (g @ xi3) * xi3, atol=1e-10)
+
+
+def test_jordan_block_decays_slower_than_its_gap():
+    # t e^{-t} from the Jordan block of -1: the fit reads 0.781 against the
+    # bound gap - rate_slack = 0.95, and a tenfold slack (0.5) would pass it
+    C0 = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+    rep = jordan_asymptotics_check(C0, np.ones(3), np.linspace(0.0, 8.0, 17))
+    assert rep.status == "fail"
+    assert rep.measured == pytest.approx(0.781, abs=1e-3)
+    assert rep.bound == pytest.approx(0.95) and rep.details["gap"] == pytest.approx(1.0)
 
 
 def test_jordan_rejects_positive_spectrum():
