@@ -76,12 +76,8 @@ def irreducibility_graph(pattern):
                                                   connection="strong")
     if n_comp == 1:
         return True, None
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        outside = np.flatnonzero(labels != comp)
-        if not pattern[np.ix_(members, outside)].any():
-            return False, members.tolist()
-    return False, np.flatnonzero(labels == labels[0]).tolist()  # pragma: no cover
+    return False, next(np.flatnonzero(labels == comp).tolist() for comp in range(n_comp)
+                       if not pattern[np.ix_(labels == comp, labels != comp)].any())
 
 
 def _norm(a, n_axes=1):

@@ -3,16 +3,17 @@ Cesaro averages.
 
 A theta-step solves (I - theta dt A) x = (I + (1 - theta) dt A) u with one
 linear solve and one sparse product, and checks the relative residual of
-that solve on every step (see ThetaStepper).  Every datum steps as a column
-of an (n, k) block, a lone datum as k = 1: evolve takes a list of data that
-share an operator, dt and theta and steps them together, with one
-factorization for all of them.  Runs on different operators that share dt,
-theta, t_final and the stored times step as the blocks of one
-block-diagonal system, in one loop with one factorization: solve_nested
-stacks its rungs and the other-boundary twin this way, and judge_ladder
-judges a ladder's runs however they were made.  Every (block,
-column) segment is held to the 1e-10 relative residual on its own, and
-equals, bit for bit, the run of that datum alone (see ThetaStepper).
+that solve on every step.  A run is one ThetaStepper, made from its first
+state, and each step() advances it.  Every datum steps as a column of an
+(n, k) block, a lone datum as k = 1: evolve takes a list of data that share
+an operator, dt and theta and steps them together, with one factorization
+for all of them.  Runs on different operators that share dt, theta, t_final
+and the stored times step as the blocks of one block-diagonal system, in
+one loop with one factorization: solve_nested stacks its rungs and the
+other-boundary twin this way, and judge_ladder judges a ladder's runs
+however they were made.  Every (block, column) segment is held to the 1e-10
+relative residual on its own, and equals, bit for bit, the run of that
+datum alone (see ThetaStepper).
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class NestedSolveResult:
 
 
 class ThetaStepper:
-    """Factorized M = I - theta dt A, stepping M x = B u with B = I + (1 - theta) dt A.
+    """One run of the theta-scheme: M x = B u with M = I - theta dt A and
+    B = I + (1 - theta) dt A, from the first state u on.
 
     `ops` is one DiscreteOperator or a sequence of them on grids of one
     dimension d.  A sequence is a stack: A = diag(A_1, ..., A_r), so runs
@@ -111,17 +113,18 @@ class ThetaStepper:
     step at d = 1 costs about 9.5 us of fixed SuperLU call overhead plus
     about 29 ns per row, so a stack pays the fixed part once.
 
-    `step` takes an (n, k) block whose columns are independent data (column
-    j holds a datum of every operator of the stack); a dof vector steps as
-    its (n, 1) view and comes back as a vector.  A step is one solve and
-    one sparse product.  For theta < 1 the product is y = B x of the new
-    state x: it is the next step's right-hand side, and
-    M x = (x - theta y) / (1 - theta) gives this step's residual.  The
-    stepper carries (x, B x): handed back the array it returned (read-only),
-    it reuses B x.  For theta = 1, B is the identity, the state is the
-    right-hand side, and the product is M x.  Above FUSED_THETA_MAX the
-    1 / (1 - theta) factor would amplify the round-off of B x, so M x is
-    formed as well.
+    `u` is the run's first (n, k) block, whose columns are independent data
+    (column j holds a datum of every operator of the stack).  B, and M
+    where the residual forms M x, are built once as diag(B, ..., B) with k
+    blocks: on a block's column-major memory one product meets each
+    column's entries in B's order, so it gives the bits of k products.
+    Each `step()` is one solve and one sparse product, and returns the
+    new (n, k) state, read-only.  For theta < 1 the product is y = B x of
+    the new state x: it is the next step's right-hand side, and
+    M x = (x - theta y) / (1 - theta) gives this step's residual.  For
+    theta = 1, B is the identity, the state is the right-hand side, and the
+    product is M x.  Above FUSED_THETA_MAX the 1 / (1 - theta) factor would
+    amplify the round-off of B x, so M x is formed as well.
 
     M is factored once by SuperLU: COLAMD at d = 1, a d = 1 stack under the
     concatenation of each block's own COLAMD order (COLAMD on the whole
@@ -132,8 +135,8 @@ class ThetaStepper:
     one column wide, and the block solve has matched the one-column solve bit
     for bit in every case tried (the tests pin it).  At d = 2, SuperLU's
     BLAS-3 kernels on wide supernodes may round a block differently, so it
-    is solved column by column.  Each column equals the step of that datum
-    alone, bit for bit.  A stacked operator's segment equals its step alone
+    is solved column by column.  Each column equals the run of that datum
+    alone, bit for bit.  A stacked operator's segment equals its run alone
     bit for bit when the ordering of the stack keeps that operator's own
     elimination order: at d = 1 by construction, and at d = 2 in every case
     tried (the tests pin both).
@@ -141,12 +144,12 @@ class ThetaStepper:
     Every (block, column) segment must meet |M x - B u| <= SOLVE_RTOL |B u|
     on its own; NaN and inf fail.  The solve is deterministic, so a failing
     segment raises SolveError after its one solve, naming the time k dt of
-    the carried run and, in a stack, the operator's block and grid, and,
-    when k > 1, the column; it calls the time step unstable when x or B x
-    is not finite.
+    the run and, in a stack, the operator's block and grid, and, when
+    k > 1, the column; it calls the time step unstable when x or B x is
+    not finite.
     """
 
-    def __init__(self, ops, dt, theta):
+    def __init__(self, ops, dt, theta, u):
         if dt <= 0:
             raise ValueError("dt must be positive")
         if not 0.0 <= theta <= 1.0:
@@ -161,17 +164,25 @@ class ThetaStepper:
         ends = np.cumsum([op.matrix.shape[0] for op in self.ops]).tolist()
         # the rows [lo, hi) of each operator's block
         self.blocks = list(zip([0] + ends[:-1], ends))
+        u = np.array(u, dtype=float, order="F")
+        if u.ndim != 2 or u.shape[0] != ends[-1]:
+            raise ValueError(f"u must have {ends[-1]} rows")
         A = self.ops[0].matrix if len(self.ops) == 1 else \
             sp.block_diag([op.matrix for op in self.ops], format="csr")
         eye = sp.identity(A.shape[0], format="csr")
         self.M = (eye - theta * dt * A).tocsc()
-        self.B = None if theta == 1.0 else (eye + (1.0 - theta) * dt * A).tocsr()
         self._fused = self.theta <= FUSED_THETA_MAX
         self._multi_rhs = self.ops[0].grid.d == 1
         self._lu = None
-        self._widen(1)
-        # carried state: the last returned x, the next right-hand side, x's step number
-        self._x = self._rhs = None
+
+        def wide(A):
+            return A if u.shape[1] == 1 else sp.block_diag([A] * u.shape[1], format="csr")
+        self._B = None if theta == 1.0 else wide((eye + (1.0 - theta) * dt * A).tocsr())
+        self._M = None if self._fused else wide(self.M.tocsr())
+        # the next right-hand side, B x of the last state x (x itself for
+        # theta = 1), and that state's step number
+        self._rhs = u if self._B is None else \
+            self._add_product(self._B, u, np.zeros(u.shape, order="F"))
         self._k = 0
 
     def _direct(self):
@@ -198,19 +209,9 @@ class ThetaStepper:
         lu, undo = spla.splu(self.M[:, q], permc_spec="NATURAL"), np.argsort(q)
         return SimpleNamespace(solve=lambda rhs: np.asfortranarray(lu.solve(rhs).take(undo, axis=0)))
 
-    def _widen(self, k):
-        """B, and M where the residual forms M x, as diag(A, ..., A) with k
-        blocks: on a block's column-major memory one product meets each
-        column's entries in A's order, so it gives the bits of k products."""
-        def wide(A):
-            return A if k == 1 else sp.block_diag([A] * k, format="csr")
-        self._width, self._x = k, None      # a carried run of another width ends
-        self._B_k = None if self.B is None else wide(self.B)
-        self._M_k = None if self._fused else wide(self.M.tocsr())
-
     @staticmethod
     def _add_product(A, x, y):
-        """y += A x for F-ordered (n, k) blocks and A from _widen, by the CSR kernel
+        """y += A x for F-ordered (n, k) blocks and a k-wide A, by the CSR kernel
         behind `A @ x` without scipy's dispatch, as costly as the kernel at d = 1."""
         _sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x.T, y.T)
         return y
@@ -232,33 +233,23 @@ class ThetaStepper:
                             f"{g.n_per_axis} nodes per axis)")
         return " in " + ", ".join(parts) if parts else ""
 
-    def step(self, u):
-        """One theta-step from the dof vector u, or from an (n, k) block of k
-        data; returns the new state in u's shape, read-only."""
-        if u is self._x:
-            rhs, k = self._rhs, self._k + 1
-        else:
-            rhs, k = np.asfortranarray(u if u.ndim == 2 else u[:, None], dtype=float), 1
-            if rhs.ndim != 2 or rhs.shape[0] != self.M.shape[0]:
-                raise ValueError(f"u must have {self.M.shape[0]} rows")
-            if rhs.shape[1] != self._width:
-                self._widen(rhs.shape[1])
-            if self.B is not None:
-                rhs = self._add_product(self._B_k, rhs, np.zeros(rhs.shape, order="F"))
+    def step(self):
+        """One theta-step of the run; returns the new (n, k) state, read-only."""
+        rhs, k = self._rhs, self._k + 1
         if self._multi_rhs:
             x = self._direct().solve(rhs)
         else:
             x = np.empty(rhs.shape, order="F")
             for j in range(rhs.shape[1]):
                 x[:, j] = self._direct().solve(rhs[:, j])
-        bx = None if self.B is None else self._add_product(self._B_k, x, np.zeros(x.shape, order="F"))
+        bx = None if self._B is None else self._add_product(self._B, x, np.zeros(x.shape, order="F"))
         # r = M x - rhs up to the factor r_scale; BLAS takes the F-ordered
         # blocks as their memory, where column j starts at offset j n
         if self._fused:
             r = daxpy(rhs, daxpy(bx, x.copy(order="F"), a=-self.theta), a=self.theta - 1.0)
             r_scale = 1.0 - self.theta
         else:
-            r = self._add_product(self._M_k, x, np.negative(rhs))
+            r = self._add_product(self._M, x, np.negative(rhs))
             r_scale = 1.0
         n, width = x.shape
         for j in range(width):
@@ -270,10 +261,8 @@ class ThetaStepper:
                     self._fail(k, x[lo:hi, j], None if bx is None else bx[lo:hi, j], residual,
                                self._where(b, j, width))
         x.setflags(write=False)
-        x_out = x if u.ndim == 2 else x[:, 0]
-        # the next step's right-hand side: B x, or x itself for theta = 1
-        self._x, self._rhs, self._k = x_out, (x if bx is None else bx), k
-        return x_out
+        self._rhs, self._k = (x if bx is None else bx), k
+        return x
 
 
 def step(op: DiscreteOperator, u, dt, theta=0.5):
@@ -282,7 +271,7 @@ def step(op: DiscreteOperator, u, dt, theta=0.5):
     u = np.asarray(u, dtype=float)
     if u.shape != (op.matrix.shape[0],):
         raise ValueError(f"u must be a dof vector of length {op.matrix.shape[0]}")
-    return ThetaStepper(op, dt, theta).step(u).copy()
+    return ThetaStepper(op, dt, theta, u[:, None]).step()[:, 0].copy()
 
 
 def whole_steps(t, dt, what):
@@ -376,11 +365,11 @@ def _stepping(op, f, t_final, dt, theta, store_every, store_times):
     if any(len(d) != k for d in data):
         raise ValueError("every operator of a stack must carry equally many data")
     marks = _store_steps(n_steps, dt, store_every, store_times)
-    stepper = ThetaStepper(ops, dt, theta)
-
     # each operator's (k, n) rows transposed, stacked: an (n, k) block whose
     # columns hold one datum of every operator
-    u = np.vstack([np.array([o.restrict(g) for g in d]).T for o, d in zip(ops, data)])
+    stepper = ThetaStepper(ops, dt, theta,
+                           np.vstack([np.array([o.restrict(g) for g in d]).T
+                                      for o, d in zip(ops, data)]))
     # every datum's stored states, written in place; zero off the dof nodes
     outs = [np.zeros((k, len(marks), o.m, o.grid.n_nodes)) for o in ops]
     for out, d in zip(outs, data):
@@ -393,7 +382,7 @@ def _stepping(op, f, t_final, dt, theta, store_every, store_times):
     yield (results if stacked else results[0]), outs
     slot = {s: i for i, s in enumerate(marks)}
     for s in range(1, n_steps + 1):
-        u = stepper.step(u)
+        u = stepper.step()
         if s in slot:
             for o, out, (lo, hi) in zip(ops, outs, stepper.blocks):
                 out[:, slot[s]][..., o.dof_indices] = u[lo:hi].T.reshape(k, o.m, o.n_dof)

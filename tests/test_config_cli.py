@@ -546,6 +546,22 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_console_entry_point_writes_the_bytes_of_run(tmp_path):
+    # `python -m kolsys.cli` goes through main(), which the installed script runs
+    path = tmp_path / "small.cfg"
+    path.write_text(FAST_CFG.replace("n_per_axis = 161", "n_per_axis = 81"))
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-m", "kolsys.cli", "measure", "--config", str(path),
+                           "--out", str(tmp_path / "main.csv")], env=env, capture_output=True,
+                          check=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert run(["measure", "--config", str(path), "--out", str(tmp_path / "run.csv")]) == 0
+    assert (tmp_path / "main.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+    bare = subprocess.run([sys.executable, "-m", "kolsys.cli"], env=env, capture_output=True,
+                          check=False)
+    assert bare.returncode == 2
+
+
 def test_cpu_total_reports_one_json_line_and_the_command_exit_code(fast_cfg, tmp_path):
     out = tmp_path / "report.txt"
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "cpu_total.py"),
@@ -706,11 +722,11 @@ def test_simulate_nested_error_in_a_worker_matches_the_serial_run(tmp_path, core
     failed_in = multiprocessing.Value("q", 0)
     real_step = ThetaStepper.step
 
-    def step(self, u):
+    def step(self):
         if any(op.boundary_kind == "dirichlet" for op in self.ops):
             failed_in.value = os.getpid()
             raise SolveError("step failed at the twin")
-        return real_step(self, u)
+        return real_step(self)
 
     monkeypatch.setattr(ThetaStepper, "step", step)
     seen = []
@@ -739,9 +755,9 @@ def test_simulate_error_in_the_stepping_worker_matches_the_serial_run(tmp_path, 
     stepped_in = multiprocessing.Value("q", 0)
     real_step = ThetaStepper.step
 
-    def step(self, u):
+    def step(self):
         stepped_in.value = os.getpid()
-        return real_step(self, u)
+        return real_step(self)
 
     monkeypatch.setattr(ThetaStepper, "step", step)
     seen = []
@@ -774,13 +790,13 @@ def test_a_stepping_worker_killed_mid_run_is_named(tmp_path, cores, capsys, monk
     here, steps = os.getpid(), []
     real_step = ThetaStepper.step
 
-    def step(self, u):
+    def step(self):
         if os.getpid() != here and any(op.grid.L == 6.0 and op.boundary_kind == "neumann"
                                        for op in self.ops):
             steps.append(None)
             if len(steps) == 20:
                 end()
-        return real_step(self, u)
+        return real_step(self)
 
     monkeypatch.setattr(ThetaStepper, "step", step)
     cores(2)
@@ -804,12 +820,12 @@ def test_a_failure_here_kills_the_streaming_worker(tmp_path, cores, capsys, monk
     here, steps = os.getpid(), []
     real_step, real_csv = ThetaStepper.step, cli._trajectory_csv
 
-    def step(self, u):
+    def step(self):
         if os.getpid() != here:
             steps.append(None)
             if len(steps) == 20:
                 time.sleep(30)
-        return real_step(self, u)
+        return real_step(self)
 
     def trajectory_csv(traj, i, nodes, chunks):
         if i == 2:

@@ -442,6 +442,45 @@ def test_inflated_mu0_fails_l2_gradient_integral_bound(setup):
     assert rep.measured <= rep.bound            # the decay itself still holds
 
 
+def _scaled_run(grid, f, scales, times):
+    """A hand-built run whose state at times[i] is scales[i] f."""
+    return Trajectory(times=np.asarray(times, dtype=float),
+                      values=np.multiply.outer(np.asarray(scales, dtype=float), f.values),
+                      grid=grid, dt=float(times[1] - times[0]), theta=1.0,
+                      boundary_kind="neumann")
+
+
+@pytest.mark.parametrize("ratio", [1.5, 1 / 1.5], ids=["above", "below"])
+def test_l2_gradient_integral_bound_at_its_threshold(setup, ratio):
+    # T(t) f = e^{-t} f: h(t) = e^{-2t} h(0) decays below 0.05 h(0.1) by t = 3
+    # and is monotone, so only the integral bound decides.  mu0 puts the
+    # integral at `ratio` times its bound: 1.5 fails, 1 / 1.5 passes
+    _, grid, _, _, _, mu, _ = setup
+    f = grid_function_from_callable(
+        grid, lambda x: [bump_function([0.0], 2.0)(x), bump_function([0.5], 1.5)(x)])
+    times = np.linspace(0.0, 3.0, 31)
+    traj = _scaled_run(grid, f, np.exp(-times), times)
+    probe = verify_l2_gradient_decay(traj, mu, mu0=1.0).details
+    mu0 = ratio * probe["integral_bound"] / probe["integral"]
+    rep = verify_l2_gradient_decay(traj, mu, mu0=mu0)
+    assert rep.details["monotone_after"] and rep.measured <= rep.bound
+    assert rep.details["integral"] == pytest.approx(ratio * rep.details["integral_bound"],
+                                                    rel=1e-12)
+    assert rep.status == ("fail" if ratio > 1 else "pass")
+
+
+def test_lp_bound_fails_between_sqrt2_and_2(setup):
+    # a run whose L^2 norm reaches 1.6 |f|: above the bound sqrt(2) |f|, below 2 |f|
+    _, grid, _, _, _, _, sys = setup
+    f = tanh_gauss(grid)
+    traj = _scaled_run(grid, f, [1.0, 1.3, 1.6, 1.2], [0.0, 0.5, 1.0, 1.5])
+    rep = verify_lp_bound(traj, sys, p=2.0)
+    f_norm = rep.details["initial_norm"]
+    assert rep.measured == pytest.approx(1.6 * f_norm, rel=1e-12)
+    assert rep.bound == pytest.approx(np.sqrt(2.0) * f_norm + 1e-6, rel=1e-12)
+    assert rep.status == "fail" and rep.witness.t == 1.0
+
+
 def test_uniform_density_fails_infinitesimal_invariance(setup):
     # constants span the kernel of the generator itself (A 1 = 0), not of its
     # adjoint: under a nonzero drift the uniform law is not invariant

@@ -99,22 +99,26 @@ def test_stepper_rejects_wrong_length():
     n = op.matrix.shape[0]
     for bad in (np.zeros(n - 1), np.zeros((n + 1, 3)), np.zeros((n, 2, 2))):
         with pytest.raises(ValueError, match=f"u must have {n} rows"):
-            ThetaStepper(op, 1e-2, 0.5).step(bad)
+            ThetaStepper(op, 1e-2, 0.5, bad)
 
 
-def test_stepper_carries_read_only_state():
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_run_equals_chained_one_step_runs(theta):
+    # a run carries B x (x itself at theta = 1) from step to step; its k-th
+    # state is k runs of one step each, every one made from the state before
     field = exchange2_field()
     grid = build_grid(1, 6.0, 41, "neumann")
     op = assemble_system_operator(field, grid)
     u = op.restrict(grid_function_from_callable(grid, tanh_gauss))
-    stepper = ThetaStepper(op, 1e-2, 0.5)
-    x1 = stepper.step(u)
-    with pytest.raises(ValueError):
-        x1[0] = 0.0
-    x2 = stepper.step(x1)                       # reuses the carried B x1
-    fresh = ThetaStepper(op, 1e-2, 0.5).step(x1.copy())
-    assert np.array_equal(x2, fresh)
-    assert step(op, u, dt=1e-2).flags.writeable
+    stepper = ThetaStepper(op, 1e-2, theta, u[:, None])
+    chained = u
+    for k in range(1, 6):
+        x = stepper.step()
+        chained = step(op, chained, dt=1e-2, theta=theta)
+        assert chained.flags.writeable
+        assert np.array_equal(x[:, 0], chained), f"step {k}"
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("theta", [0.5, 1 - 1e-7, 1.0])
@@ -464,16 +468,15 @@ def test_2d_steps_take_one_direct_factor_in_mmd_order(monkeypatch):
     op = assemble_system_operator(make_builtin(fam), grid)
     u = op.restrict(grid_function_from_callable(
         grid, lambda x: [np.exp(-rowdot(x, x)), np.tanh(x[..., 0] - x[..., 1])]))
-    stepper = ThetaStepper(op, 1e-2, 0.5)
-    x = stepper.step(u)
-    for _ in range(4):
-        x = stepper.step(x)
+    stepper = ThetaStepper(op, 1e-2, 0.5, u[:, None])
+    for _ in range(5):
+        x = stepper.step()
     assert len(factorizations) == 1
 
     # one more step from x, checked here against M x+ = B x
-    rhs = stepper.B @ x
-    x_next = stepper.step(x)
-    assert np.linalg.norm(stepper.M @ x_next - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    rhs = (sp.identity(u.size) + 0.5e-2 * op.matrix) @ x[:, 0]
+    x_next = stepper.step()
+    assert np.linalg.norm(stepper.M @ x_next[:, 0] - rhs) <= 1e-10 * np.linalg.norm(rhs)
     perm_c = stepper._lu.perm_c
     assert np.array_equal(perm_c, real_splu(stepper.M, permc_spec="MMD_AT_PLUS_A").perm_c)
     assert not np.array_equal(perm_c, real_splu(stepper.M).perm_c)
@@ -556,13 +559,14 @@ def test_batched_evolve_equals_per_datum_bitwise(kind, theta):
 def test_block_step_columns_equal_vector_steps():
     op, data = _block_operator("system")
     block = np.array([op.restrict(f) for f in data[:3]]).T
-    stepper = ThetaStepper(op, 1e-2, 0.5)
-    x = stepper.step(block)
-    x = stepper.step(x)                          # reuses the carried B x
+    stepper = ThetaStepper(op, 1e-2, 0.5, block)
+    stepper.step()
+    x = stepper.step()
     assert x.shape == block.shape and not x.flags.writeable
     for j in range(3):
-        alone = ThetaStepper(op, 1e-2, 0.5)
-        assert np.array_equal(x[:, j], alone.step(alone.step(block[:, j].copy())))
+        alone = ThetaStepper(op, 1e-2, 0.5, block[:, j:j + 1])
+        alone.step()
+        assert np.array_equal(x[:, j], alone.step()[:, 0])
 
 
 def _perturbed(x, rng):
@@ -607,12 +611,14 @@ def test_batched_evolve_rejects_one_column_off_by_1e8(monkeypatch, theta):
 @pytest.mark.parametrize("k", [None, 3])
 def test_failing_column_raises_after_its_one_solve(monkeypatch, kind, k):
     # the solve is deterministic, so a column whose solve misses the residual
-    # fails the step at once; k = None steps a dof vector
+    # fails the step at once; k = None steps a lone datum
     op, data = _block_operator(kind)
-    stepper = ThetaStepper(op, 1e-2, 0.5)
-    u = op.restrict(data[0]) if k is None else np.array([op.restrict(f) for f in data[:k]]).T
+    u = np.array([op.restrict(f) for f in data[:k or 1]]).T
+    stepper = ThetaStepper(op, 1e-2, 0.5, u)
     bad = 0 if k is None else 1
-    bad_rhs = stepper.B @ (u if k is None else u[:, bad])
+    # B u as the stepper forms it
+    B = (sp.identity(u.shape[0], format="csr") + (1.0 - 0.5) * 1e-2 * op.matrix).tocsr()
+    bad_rhs = B @ u[:, bad]
     real_direct = ThetaStepper._direct
     rng = np.random.default_rng(5)
     solved = []                                  # one entry per column solved
@@ -634,7 +640,7 @@ def test_failing_column_raises_after_its_one_solve(monkeypatch, kind, k):
     monkeypatch.setattr(ThetaStepper, "_direct", direct)
     where = "" if k is None else f" in column {bad}"
     with pytest.raises(SolveError, match=rf"residual \S+ exceeds 1e-10 at t = 0\.01{where}$"):
-        stepper.step(u)
+        stepper.step()
     assert len(solved) == (1 if k is None else k)
     assert solved.count(True) == 1
 
@@ -644,19 +650,7 @@ def test_block_step_nan_in_one_column_raises():
     block = np.array([op.restrict(f) for f in data[:3]]).T
     block[7, 1] = np.nan
     with pytest.raises(SolveError, match=r"non-finite state at t = 0\.01 in column 1; "):
-        ThetaStepper(op, 1e-2, 0.5).step(block)
-
-
-def test_failed_wider_step_ends_the_carried_run():
-    op, data = _block_operator("system")
-    block = np.array([op.restrict(f) for f in data[:3]]).T
-    stepper = ThetaStepper(op, 1e-2, 0.5)
-    x = stepper.step(block[:, :2].copy())
-    wider = block.copy()
-    wider[7, 2] = np.nan
-    with pytest.raises(SolveError, match="in column 2"):
-        stepper.step(wider)
-    assert np.array_equal(stepper.step(x), ThetaStepper(op, 1e-2, 0.5).step(x.copy()))
+        ThetaStepper(op, 1e-2, 0.5, block).step()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -829,7 +823,8 @@ def test_stacked_solve_off_by_1e9_in_one_block_names_that_block(monkeypatch):
     # about 1e-12 and miss it.
     ops, data = _stack()
     batch = [data[0][0], GridFunction(data[1][0].grid, 1e-3 * data[1][0].values), data[2][0]]
-    lo, hi = ThetaStepper(ops, 1e-2, 0.5).blocks[1]
+    ends = np.cumsum([o.matrix.shape[0] for o in ops])
+    lo, hi = ends[0], ends[1]
     real_direct = ThetaStepper._direct
     solves = itertools.count(1)
     rng = np.random.default_rng(7)
@@ -854,10 +849,11 @@ def test_stacked_solve_off_by_1e9_in_one_block_names_that_block(monkeypatch):
 
 def test_stacked_nan_names_the_block_and_column():
     ops, data = _stack()
-    stepper = ThetaStepper(ops, 1e-2, 0.5)
-    lo, _ = stepper.blocks[2]
     u = np.vstack([np.array([o.restrict(g) for g in d]).T for o, d in zip(ops, data)])
+    lo = u.shape[0] - ops[2].matrix.shape[0]
     u[lo + 3, 1] = np.nan
+    stepper = ThetaStepper(ops, 1e-2, 0.5, u)
+    assert stepper.blocks[2][0] == lo
     with pytest.raises(SolveError, match=r"non-finite state at t = 0\.01 in block 2 "
                                          r"\(neumann, L = 4, 61 nodes per axis\), column 1; "):
-        stepper.step(u)
+        stepper.step()

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 
 import kolsys.cli
+import kolsys.semigroup
 from kolsys.coefficients import BuiltinFamily
+from kolsys.discretization import assemble_system_operator, build_grid, grid_function_from_callable
 from kolsys.semigroup import ThetaStepper
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -46,6 +48,16 @@ def test_tracer_finds_every_target_and_restores_every_binding():
             getattr(field, name)(np.zeros((3, 1)))
         metrics = tracing.layer_metrics(tracer.collect())
         assert metrics["coefficients.evals"] == len(tracing.FIELD_CALLABLES) == 9
+        # a run of two data, ten steps, through the module's traced bindings
+        grid = build_grid(1, 6.0, 41, "neumann")
+        op = assemble_system_operator(field, grid)
+        data = [grid_function_from_callable(grid, lambda x, a=a: [np.tanh(a * x[..., 0]),
+                                                                   np.exp(-x[..., 0] ** 2)])
+                for a in (1.0, 2.0)]
+        kolsys.semigroup.evolve(op, data, t_final=0.1, dt=1e-2)
+        snap = tracer.collect()
+        assert tracing.layer_metrics(snap)["semigroup.steps"] == 10
+        assert snap["counts"]["semigroup.datum_steps"] == 20
     finally:
         broken = tracer.uninstall()
     assert broken == []
