@@ -119,9 +119,9 @@ def _records_text(records):
         for key, value in rec.constants.items():
             out = fmt(value) if isinstance(value, (int, float, np.floating)) else str(value)
             lines.append(f"{key} = {out}")
-        if rec.witness is not None:
-            for key, value in rec.witness.as_dict().items():
-                lines.append(f"{key} = {value}")
+        if rec.witness is not None:     # a check witness carries no time
+            lines += ["witness_x = " + " ".join(repr(float(c)) for c in rec.witness.x),
+                      f"witness_value = {float(rec.witness.value)!r}"]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

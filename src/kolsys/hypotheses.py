@@ -103,29 +103,20 @@ def check_hypotheses(field: CoefficientField, sample_spec=None) -> HypothesisRep
     pattern_max = np.max(np.abs(C), axis=0)
     c_scale = float(np.max(_norm(C, 2)))
 
-    records = []
-
-    i_min = int(np.argmin(mu_vals))
-    records.append(CheckRecord(
-        name="ellipticity",
-        status="pass" if mu_vals[i_min] > 0 else "fail",
-        witness=Witness(tuple(pts[i_min]), float(mu_vals[i_min])),
-        constants={"mu0": float(mu_vals[i_min])}))
+    def tightest(name, key, pick, values, ok):
+        """The record of `values` at its tightest sample point, pick(values),
+        whose value is both witness and constant; ok is its pass rule."""
+        i = int(pick(values))
+        v = float(values[i])
+        return CheckRecord(name=name, status="pass" if ok(v) else "fail",
+                           witness=Witness(tuple(pts[i]), v), constants={key: v})
 
     tol = _EQ_TOL * max(1.0, c_scale)
-    i_max = int(np.argmax(sym_eig))
-    records.append(CheckRecord(
-        name="dissipativity",
-        status="pass" if sym_eig[i_max] <= tol else "fail",
-        witness=Witness(tuple(pts[i_max]), float(sym_eig[i_max])),
-        constants={"max_sym_eigenvalue": float(sym_eig[i_max])}))
-
-    i_off = int(np.argmin(offdiag_min))
-    records.append(CheckRecord(
-        name="offdiagonal_nonnegative",
-        status="pass" if offdiag_min[i_off] >= -tol else "fail",
-        witness=Witness(tuple(pts[i_off]), float(offdiag_min[i_off])),
-        constants={"min_offdiagonal": float(offdiag_min[i_off])}))
+    records = [
+        tightest("ellipticity", "mu0", np.argmin, mu_vals, lambda v: v > 0),
+        tightest("dissipativity", "max_sym_eigenvalue", np.argmax, sym_eig, lambda v: v <= tol),
+        tightest("offdiagonal_nonnegative", "min_offdiagonal", np.argmin, offdiag_min,
+                 lambda v: v >= -tol)]
 
     pattern_tol = _EQ_TOL * max(1.0, float(pattern_max.max()))
     pattern = pattern_max > pattern_tol
@@ -321,27 +312,23 @@ def estimate_kp(field: CoefficientField, p, sample_spec=None, constants=None) ->
     ann = spec.annulus_index(pts)
 
     second_order = "c_p" not in constants
-    if second_order:
-        needed = [f"c_{j}p" for j in range(1, 7)]
-        missing = [k for k in needed if k not in constants]
-        if missing:
-            raise ValueError(f"missing constants for the second-order expressions: {missing}")
+    names = [f"c_{j}p" for j in range(1, 7)] if second_order else ["c_p"]
+    missing = [k for k in names if k not in constants]
+    if missing:
+        raise ValueError(f"missing constants for the second-order expressions: {missing}")
+    coef = [float(constants[k]) for k in names]
 
     sups, ratios = {}, {}
+    mu = bundle.mu_q(pts)
+    r = bundle.r(pts)
+    q1sq = libm_pow(bundle.q1(pts), 2)
     if not second_order:
-        cp = float(constants["c_p"])
-        mu = bundle.mu_q(pts)
-        vals = bundle.r(pts) + (1.0 - p) * mu \
-            + libm_pow(bundle.q1(pts), 2) / (4.0 * (p - 1.0) * mu) \
-            + cp * libm_pow(bundle.c1(pts), 2)
+        vals = r + (1.0 - p) * mu + q1sq / (4.0 * (p - 1.0) * mu) \
+            + coef[0] * libm_pow(bundle.c1(pts), 2)
         sups["K_p"] = float(vals.max())
         trend_ok = _sup_trend_ok(vals, ann, spec.n_annuli)
     else:
-        c1p, c2p, c3p = (float(constants[k]) for k in ("c_1p", "c_2p", "c_3p"))
-        c4p, c5p, c6p = (float(constants[k]) for k in ("c_4p", "c_5p", "c_6p"))
-        mu = bundle.mu_q(pts)
-        r = bundle.r(pts)
-        q1sq = libm_pow(bundle.q1(pts), 2)
+        c1p, c2p, c3p, c4p, c5p, c6p = coef
         b2 = bundle.b2(pts)
         v1 = r - c3p * mu + c1p * libm_pow(bundle.c1(pts), 2) \
             + 1.5 * q1sq / ((p - 1.0) * mu) + c2p * b2

@@ -1,9 +1,11 @@
 """Executable checks of the semigroup's quantitative properties.
 
-Every verify_* call is a pure, deterministic function of trajectories and
-measures; sup-norms over R^d are taken over a finite observation window,
-matching the locally uniform statements being tested.  Checks may run
-concurrently: inputs are immutable.
+Every verify_* call is a deterministic function of its inputs.  Most take
+trajectories and measures and evolve nothing; verify_fixed_points and
+verify_cesaro_identity evolve runs of their own (the candidates to t = 1, and
+the run to t = 1 that gives P_1 f).  Sup-norms over R^d are taken over a
+finite observation window, matching the locally uniform statements being
+tested.  Checks may run concurrently: inputs are immutable.
 """
 
 from __future__ import annotations

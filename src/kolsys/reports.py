@@ -13,13 +13,6 @@ class Witness:
     value: float
     t: float | None = None
 
-    def as_dict(self):
-        d = {"witness_x": " ".join(repr(float(c)) for c in self.x),
-             "witness_value": repr(float(self.value))}
-        if self.t is not None:
-            d["witness_t"] = repr(float(self.t))
-        return d
-
 
 @dataclass
 class CheckRecord:

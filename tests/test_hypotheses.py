@@ -53,6 +53,30 @@ def test_diagonal_coupling_fails_irreducibility():
     assert rec.constants["closed_set"] in {"1", "2"}
 
 
+def test_ellipticity_fails_where_q_vanishes_at_a_sample_point():
+    # Q(x) = x^2 vanishes at the sampled origin: mu0 = 0 sits on the strict
+    # threshold mu0 > 0, so a rule that also passes mu0 = 0 is caught here
+    field = CoefficientField.from_pointwise(1, 2, lambda x: x * x, lambda x: -x,
+                                            lambda x: [[-1.0, 1.0], [1.0, -1.0]])
+    rec = check_hypotheses(field, SPEC).record("ellipticity")
+    assert rec.constants["mu0"] == 0.0 and rec.witness.x == (0.0,)
+    assert rec.status == "fail"
+
+
+@pytest.mark.parametrize("name, key, C0", [
+    # largest symmetric eigenvalue 1e-10
+    ("dissipativity", "max_sym_eigenvalue", [[-1.0, 1.0 + 2e-10], [1.0, -1.0]]),
+    ("offdiagonal_nonnegative", "min_offdiagonal", [[-1.0, 1.0], [-1e-10, -1.0]]),
+], ids=["dissipativity", "offdiagonal"])
+def test_coupling_rule_fails_between_its_tolerance_and_1e3_times_it(name, key, C0):
+    # the tolerance is 1e-12 max(1, |C|); a violation of 1e-10 lies between
+    # it and 1e3 times it, so a loosened tolerance would pass this field
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(C0)))
+    report = check_hypotheses(constant_field(C0), SPEC)
+    assert tol < abs(report.record(name).constants[key]) < 1e3 * tol
+    assert [r.name for r in report.records if not r.passed] == [name]
+
+
 def test_kernel_exchange2():
     kv = compute_common_kernel(poly_family(), SPEC)
     assert np.allclose(kv.xi, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
@@ -168,6 +192,16 @@ def test_kp_second_order_reads_the_derivatives_the_field_carries():
     pointwise = CoefficientField.from_pointwise(1, 2, builtin.Q, builtin.b, builtin.C)
     with pytest.raises(ValueError, match="field supplies no"):
         estimate_kp(pointwise, p=2.0, sample_spec=SPEC, constants=constants)
+
+
+def test_kp_checks_its_constants_before_it_reads_any_derivative():
+    b = poly_family()
+    pointwise = CoefficientField.from_pointwise(1, 2, b.Q, b.b, b.C)
+    with pytest.raises(ValueError, match="missing constants"):
+        estimate_kp(pointwise, p=2.0, sample_spec=SPEC, constants={"c_1p": 1.0})
+    for constants in ({"c_p": 1.0}, {f"c_{j}p": 1.0 for j in range(1, 7)}):
+        with pytest.raises(ValueError, match="field supplies no jac_b$"):
+            estimate_kp(pointwise, p=2.0, sample_spec=SPEC, constants=constants)
 
 
 def test_spectral_check_builtin_families():
