@@ -38,7 +38,7 @@ from kolsys.config import (
     parse_config,
     time_from_config,
 )
-from kolsys.coefficients import derivative_bundle, make_builtin, rowdot
+from kolsys.coefficients import make_builtin, rowdot
 from kolsys.discretization import (
     GridFunction,
     assemble_scalar_operator,
@@ -132,14 +132,9 @@ def _report_text(reports):
     return "\n".join(lines) + "\n"
 
 
-def _sample_spec(cfg):
-    radius = cfg.get("grid", "L")
-    return SampleSpec(radius=radius, n_per_axis=81)
-
-
 def cmd_check(args, cfg):
     field = make_builtin(family_from_config(cfg))
-    spec = _sample_spec(cfg)
+    spec = SampleSpec(cfg.get("grid", "L"))
     sigma = cfg.get("verify", "phi_exponent")
 
     report = check_hypotheses(field, spec)
@@ -407,8 +402,7 @@ def _check_dt_divides(cfg, suite, times):
 
 
 def _measure_pipeline(cfg, field, grid):
-    spec = _sample_spec(cfg)
-    xi = compute_common_kernel(field, spec)
+    xi = compute_common_kernel(field, SampleSpec(cfg.get("grid", "L")))
     mu = solve_scalar_invariant_density(field, grid)
     return xi, mu, build_measure_system(xi, mu, 1.0)
 
@@ -527,9 +521,8 @@ def _suite_asymptotic(cfg, field, grid):
 
         reports = [verify_longtime(traj, sys, r_obs=r_obs,
                                    longtime_tol=cfg.get("verify", "longtime_tol"))]
-        spec = _sample_spec(cfg)
-        bundle = derivative_bundle(field)
-        mu0 = float(np.min(bundle.mu_q(spec.points(field.dim_d)[::4])))
+        spec = SampleSpec(cfg.get("grid", "L"))
+        mu0 = check_hypotheses(field, spec).record("ellipticity").constants["mu0"]
         reports.append(verify_l2_gradient_decay(traj_b, mu, mu0=mu0))
         reports.append(verify_cesaro_identity(op, traj_f, r_obs))
         return reports, runs_f
@@ -594,7 +587,7 @@ def _sweep_family(cfg, family):
     operator and datum (None otherwise)."""
     field = make_builtin(family)
     grid = grid_from_config(cfg, boundary_override="neumann")
-    spec = _sample_spec(cfg)
+    spec = SampleSpec(cfg.get("grid", "L"))
     sigma = cfg.get("verify", "phi_exponent")
     lyap = check_lyapunov(field, sigma, spec)
     growth = check_growth(field, sigma, spec)

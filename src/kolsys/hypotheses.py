@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from kolsys.coefficients import CoefficientField, derivative_bundle, evaluate, libm_pow, rowdot
 from kolsys.discretization import tensor_nodes
@@ -64,20 +62,20 @@ def _annulus_reduce(values, idx, n_annuli, reducer):
 
 def irreducibility_graph(pattern):
     """No proper nonempty K with pattern[i, j] false for all i in K, j not in K,
-    decided by strong connectivity of the off-diagonal edge graph.
+    decided by reachability in the off-diagonal edge graph.
 
-    Every proper nonempty K has an outgoing edge iff the directed graph is
-    strongly connected; a sink strongly connected component is the witness
-    otherwise.
+    Squaring `pattern | I` m times closes it under paths (Horn & Johnson,
+    Matrix Analysis, 2nd ed., 6.2): the pattern is irreducible iff the
+    closure has no false entry.  Otherwise the nodes that a node reaching
+    the fewest reaches are closed and strongly connected, the witness.
     """
     m = pattern.shape[0]
-    adj = sp.csr_matrix(pattern.astype(float))
-    n_comp, labels = csgraph.connected_components(adj, directed=True,
-                                                  connection="strong")
-    if n_comp == 1:
+    reach = pattern | np.eye(m, dtype=bool)
+    for _ in range(m):
+        reach = reach @ reach
+    if reach.all():
         return True, None
-    return False, next(np.flatnonzero(labels == comp).tolist() for comp in range(n_comp)
-                       if not pattern[np.ix_(labels == comp, labels != comp)].any())
+    return False, np.flatnonzero(reach[np.argmin(reach.sum(axis=1))]).tolist()
 
 
 def _norm(a, n_axes=1):
@@ -170,8 +168,7 @@ _LYAPUNOV_C_GRID = [2.0 ** k for k in range(-10, 11)]
 
 def _phi_and_generator(field, pts, sigma):
     """phi(x) = (1+|x|^2)^sigma and the scalar generator applied to it, analytically."""
-    s = np.sum(pts * pts, axis=1)
-    phi = (1.0 + s) ** sigma
+    phi = libm_pow(1.0 + np.sum(pts * pts, axis=1), sigma)
     Q, b, _ = evaluate(field, pts)
     si = 1.0 + rowdot(pts, pts)
     grad_fac = 2.0 * sigma * libm_pow(si, sigma - 1.0)
@@ -264,8 +261,7 @@ def check_growth(field: CoefficientField, phi_exponent, sample_spec=None) -> Gro
     spec = sample_spec or SampleSpec()
     pts = spec.points(field.dim_d)
     ann = spec.annulus_index(pts)
-    s = np.sum(pts * pts, axis=1)
-    denom = (1.0 + s) ** (sigma + 1.0)
+    denom = libm_pow(1.0 + np.sum(pts * pts, axis=1), sigma + 1.0)
 
     Q, b, _ = evaluate(field, pts)
     q_ratio = np.max(np.abs(Q), axis=(-2, -1)) / denom

@@ -537,10 +537,11 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask):
 
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
-    # each costs every command its import time and memory; the package uses neither
+    # each costs every command its import time and memory; the package uses
+    # none of them (irreducibility is read from boolean matrix products)
     src = os.path.join(ROOT, "src")
-    code = ("import kolsys.cli, sys; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    code = ("import kolsys.cli, sys; print(sorted(m for m in ('scipy.integrate', "
+            "'scipy.optimize', 'scipy.sparse.csgraph') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from kolsys.hypotheses import (
 )
 
 SPEC = SampleSpec(radius=6.0, n_per_axis=81)
+EXCHANGE = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
 def poly_family(gamma=0.0, beta=1.0, b0=1.0, kind="exchange2", m=2, C0=None, d=1):
@@ -103,6 +104,17 @@ def test_kernel_negative_definite_coupling_errors():
         compute_common_kernel(constant_field([[-2.0, 1.0], [1.0, -2.0]]), SPEC)
 
 
+def test_kernel_fails_between_its_tolerance_and_1e3_times_it():
+    # the 81 stacked copies of C0 + 1e-9 I have smallest singular value
+    # 9e-9, between kernel_tol = 1e-10 |C| = 2e-10 and 1e3 times it; a shift
+    # of 1e-12 gives 9e-12, below the tolerance
+    with pytest.raises(ValueError, match="smallest singular value 9.000e-09 exceeds "
+                                         "tolerance 2.000e-10"):
+        compute_common_kernel(constant_field(EXCHANGE + 1e-9 * np.eye(2)), SPEC)
+    kv = compute_common_kernel(constant_field(EXCHANGE + 1e-12 * np.eye(2)), SPEC)
+    assert np.allclose(kv.xi, np.ones(2) / np.sqrt(2), atol=1e-12)
+
+
 def test_lyapunov_quartic_drift():
     field = poly_family()
     res = check_lyapunov(field, 1.0, SPEC)
@@ -149,6 +161,14 @@ def test_growth_exact_cancellation():
 def test_growth_fails_for_small_exponent():
     res = check_growth(poly_family(gamma=2.0), 0.5, SPEC)
     assert res.status == "fail"
+
+
+def test_growth_fails_where_diffusion_outgrows_its_weight():
+    # beta = 0 keeps <b, x> / (1+|x|^2)^2 bounded, so only the diffusion
+    # ratio (1+|x|^2)^(gamma-2) decides: bounded at gamma = 1.9, growing at 2.1
+    assert check_growth(poly_family(gamma=1.9, beta=0.0), 1.0, SPEC).passed
+    res = check_growth(poly_family(gamma=2.1, beta=0.0), 1.0, SPEC)
+    assert res.status == "fail" and res.drift_sup < res.q_sup
 
 
 def test_kp_first_order_exchange2():
@@ -248,10 +268,42 @@ def test_spectral_check_exchange2_eigenvalues_at_origin():
     assert np.allclose(eig, [-2.0, 0.0], atol=1e-14)
 
 
+def test_spectral_check_fails_between_its_tolerance_and_1e3_times_it():
+    # C0 + 1e-9 I has the eigenvalue 1e-9, 5e-10 relative to |C| = 2: between
+    # tol_eig = 1e-10 and 1e3 times it; a shift of 1e-12 lies below tol_eig
+    pts = SPEC.points(1)
+    rep = spectral_check_C(constant_field(EXCHANGE + 1e-9 * np.eye(2)), pts)
+    assert rep.status == "fail" and 1e-10 < rep.measured < 1e-7
+    assert spectral_check_C(constant_field(EXCHANGE + 1e-12 * np.eye(2)), pts).passed
+
+
 def test_spectral_check_identity_fails():
     rep = spectral_check_C(constant_field(np.eye(2)), np.zeros((1, 1)))
     assert rep.status == "fail"
     assert rep.measured > 0.4
+
+
+def test_cycle_is_irreducible_only_through_paths():
+    # in the 3-cycle 1 -> 2 -> 3 -> 1 no node reaches every other in one edge
+    cycle = check_hypotheses(constant_field([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                                             [1.0, 0.0, -1.0]]), SPEC)
+    assert cycle.record("irreducibility").status == "pass"
+    # the chain 1 -> 2 -> 3 ends in the closed set {3}
+    chain = check_hypotheses(constant_field([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                                             [0.0, 0.0, 0.0]]), SPEC)
+    rec = chain.record("irreducibility")
+    assert rec.status == "fail" and rec.constants["closed_set"] == "3"
+
+
+def reached(pattern, i):
+    """The nodes reached from node i along the edges of `pattern`, i included."""
+    seen, todo = {i}, [i]
+    while todo:
+        for j in np.flatnonzero(pattern[todo.pop()]):
+            if int(j) not in seen:
+                seen.add(int(j))
+                todo.append(int(j))
+    return seen
 
 
 def irreducibility_brute_force(pattern):
@@ -283,6 +335,8 @@ def test_irreducibility_graph_matches_brute_force(m, seed):
         K = wit_graph
         rest = [j for j in range(m) if j not in K]
         assert not pattern[np.ix_(K, rest)].any()
+        # and strongly connected: every node of K reaches all of K
+        assert all(reached(pattern, i) == set(K) for i in K)
 
 
 def test_irreducibility_larger_m():
