@@ -1,11 +1,13 @@
 """Coefficient fields (diffusion Q, drift b, zero-order coupling C) and their derivatives.
 
-Builtin families follow the polynomial pattern
+Builtin families follow the polynomial pattern, with s = 1 + |x|^2,
 
-    Q(x) = (1 + |x|^2)^gamma * Q0,      b(x) = -b0 * x * (1 + |x|^2)^beta,
+    Q(x) = s^gamma Q0,      b(x) = -b0 x s^beta,      C(x) = s^p C0,
 
-with coupling chosen among a 2x2 exchange matrix, a 3x3 zero-row-and-column-sum
-family, or a user-supplied constant matrix.  All derivatives are analytic.
+where C0 is a 2x2 exchange pattern or a 3x3 zero-row-and-column-sum pattern
+with p = -1, or a user-supplied constant matrix with p = 0.  Every value and
+analytic derivative comes from the derivatives of the one radial power s^p
+(those of b by the product rule), taken with numpy's `np.power`.
 """
 
 from __future__ import annotations
@@ -88,17 +90,6 @@ def _checked(fn, d):
     return lambda x: fn(_as_point(x, d))
 
 
-_pow = np.frompyfunc(pow, 2, 1)
-
-
-def libm_pow(base, p):
-    """base ** p elementwise through the C library's pow, as Python's float **
-    computes it; numpy's vectorized power differs from it in the last bit."""
-    if p == 0.0 or p == 1.0:      # pow is exact there
-        return np.ones_like(base) if p == 0.0 else np.array(base, dtype=float)
-    return np.asarray(_pow(base, float(p)), dtype=float)
-
-
 def _outer(x):
     return x[..., :, None] * x[..., None, :]
 
@@ -111,19 +102,16 @@ def rowdot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _coupling_scalar(x):
-    """Decay profile 1/(1+|x|^2) and its first two radial building blocks."""
-    c = 1.0 / (1.0 + rowdot(x, x))
-    dc = -2.0 * x * c[..., None] * c[..., None]                       # gradient
-    cm = c[..., None, None]
-    d2c = (-2.0 * np.eye(x.shape[-1]) * cm * cm
-           + 8.0 * _outer(x) * libm_pow(c, 3)[..., None, None])
-    return c, dc, d2c
-
-
-def _flat_profile(x):
-    """The constant profile 1 and its zero derivatives: constant coupling C0."""
-    return np.ones(x.shape[:-1]), np.zeros(x.shape), np.zeros(x.shape + x.shape[-1:])
+def _radial_power(x, p, k):
+    """The k-th derivative (k = 0, 1, 2) of s^p with s = 1 + |x|^2: one value,
+    vector or d x d matrix per point."""
+    s = 1.0 + rowdot(x, x)
+    if k == 0:
+        return np.power(s, p)
+    if k == 1:
+        return 2.0 * p * np.power(s, p - 1.0)[..., None] * x
+    return (2.0 * p * np.power(s, p - 1.0)[..., None, None] * np.eye(x.shape[-1])
+            + 4.0 * p * (p - 1.0) * np.power(s, p - 2.0)[..., None, None] * _outer(x))
 
 
 _EXCHANGE2 = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -165,7 +153,7 @@ def make_builtin(family: BuiltinFamily) -> CoefficientField:
     if family.coupling_kind == "constant_matrix":
         if family.C0 is None:
             raise ValueError("constant_matrix coupling requires C0")
-        pattern, profile = np.asarray(family.C0, dtype=float), _flat_profile
+        pattern, power = np.asarray(family.C0, dtype=float), 0.0
         if pattern.shape != (m, m):
             raise ValueError(f"C0 must be {m}x{m}, got {pattern.shape}")
     else:
@@ -173,57 +161,33 @@ def make_builtin(family: BuiltinFamily) -> CoefficientField:
         # smooth positive choice
         pattern = _EXCHANGE2 if family.coupling_kind == "exchange2" \
             else _zeta3_matrix(1.0, 2.0, 3.0)
-        profile = _coupling_scalar
+        power = -1.0
 
     gamma, beta, b0 = float(family.gamma), float(family.beta), float(family.b0)
     eye = np.eye(d)
 
-    def phi_pow(x, p):
-        # (1 + |x|^2)^p with a trailing axis, to scale one vector or matrix per point
-        return libm_pow(1.0 + rowdot(x, x), p)[..., None]
-
-    def Q(x):
-        return phi_pow(x, gamma)[..., None] * Q0
-
-    def dQ(x):
-        fac = 2.0 * gamma * phi_pow(x, gamma - 1.0)
-        return (fac * x)[..., None, None] * Q0
-
-    def d2Q(x):
-        fac1 = 2.0 * gamma * phi_pow(x, gamma - 1.0)[..., None]
-        fac2 = 4.0 * gamma * (gamma - 1.0) * phi_pow(x, gamma - 2.0)[..., None]
-        core = fac1 * eye + fac2 * _outer(x)
-        return core[..., None, None] * Q0
+    def scaled(p, k, matrix):
+        # the k-th derivative of s^p matrix: its k derivative axes, then the matrix's
+        return lambda x: _radial_power(x, p, k)[..., None, None] * matrix
 
     def b(x):
-        return -b0 * x * phi_pow(x, beta)
+        return -b0 * x * _radial_power(x, beta, 0)[..., None]
 
     def jac_b(x):
-        p = phi_pow(x, beta)[..., None]
-        pm1 = phi_pow(x, beta - 1.0)[..., None]
-        return -b0 * (p * eye + 2.0 * beta * pm1 * _outer(x))
+        # D_j b_i = -b0 (delta_ij s^beta + x_i D_j s^beta)
+        return -b0 * (_radial_power(x, beta, 0)[..., None, None] * eye
+                      + x[..., :, None] * _radial_power(x, beta, 1)[..., None, :])
 
     def d2b(x):
-        # out[..., k, l, i] = -b0 (2 beta phi^(beta-1) sym_kli
-        #                          + 4 beta (beta-1) phi^(beta-2) x_i x_k x_l)
-        pm1 = phi_pow(x, beta - 1.0)[..., None, None]
-        pm2 = phi_pow(x, beta - 2.0)[..., None, None]
-        xk, xl, xi = x[..., :, None, None], x[..., None, :, None], x[..., None, None, :]
-        sym = eye[:, None, :] * xl + eye[None, :, :] * xk + eye[:, :, None] * xi
-        return -b0 * (2.0 * beta * pm1 * sym
-                      + 4.0 * beta * (beta - 1.0) * pm2 * xi * xk * xl)
+        # D_kl b_i = -b0 (delta_ik D_l s^beta + delta_il D_k s^beta + x_i D_kl s^beta)
+        grad = _radial_power(x, beta, 1)
+        return -b0 * (eye[:, None, :] * grad[..., None, :, None]
+                      + eye[None, :, :] * grad[..., :, None, None]
+                      + _radial_power(x, beta, 2)[..., None] * x[..., None, None, :])
 
-    def C(x):
-        return profile(x)[0][..., None, None] * pattern
-
-    def dC(x):
-        return profile(x)[1][..., None, None] * pattern
-
-    def d2C(x):
-        return profile(x)[2][..., None, None] * pattern
-
-    evaluators = {"Q": Q, "b": b, "C": C, "dQ": dQ, "jac_b": jac_b, "dC": dC,
-                  "d2Q": d2Q, "d2b": d2b, "d2C": d2C}
+    evaluators = {"Q": scaled(gamma, 0, Q0), "dQ": scaled(gamma, 1, Q0), "d2Q": scaled(gamma, 2, Q0),
+                  "b": b, "jac_b": jac_b, "d2b": d2b, "C": scaled(power, 0, pattern),
+                  "dC": scaled(power, 1, pattern), "d2C": scaled(power, 2, pattern)}
     return CoefficientField(dim_d=d, dim_m=m,
                             **{name: _checked(fn, d) for name, fn in evaluators.items()})
 

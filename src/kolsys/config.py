@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kolsys.coefficients import COUPLING_KINDS, BuiltinFamily, libm_pow, rowdot
+from kolsys.coefficients import COUPLING_KINDS, BuiltinFamily, rowdot
 from kolsys.discretization import BOUNDARY_KINDS, build_grid, grid_function_from_callable
 from kolsys.semigroup import whole_steps
 
@@ -210,7 +210,7 @@ def ladder_from_config(cfg: RunConfig):
 DATA_BUILDERS = {
     "tanh": lambda x: np.tanh(x[..., 0]),
     "gauss": lambda x: np.exp(-rowdot(x, x)),
-    "bump": lambda x: np.where(rowdot(x, x) < 4.0, libm_pow(1 - rowdot(x, x) / 4.0, 3), 0.0),
+    "bump": lambda x: np.where(rowdot(x, x) < 4.0, np.power(1 - rowdot(x, x) / 4.0, 3), 0.0),
     "sin": lambda x: np.sin(x[..., 0]),
     "one": lambda x: 1.0,
     "zero": lambda x: 0.0,

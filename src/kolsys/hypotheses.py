@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kolsys.coefficients import CoefficientField, derivative_bundle, evaluate, libm_pow, rowdot
+from kolsys.coefficients import CoefficientField, derivative_bundle, evaluate, rowdot
 from kolsys.discretization import tensor_nodes
 from kolsys.reports import CheckRecord, HypothesisReport, PropertyReport, Witness
 
@@ -168,13 +168,13 @@ _LYAPUNOV_C_GRID = [2.0 ** k for k in range(-10, 11)]
 
 def _phi_and_generator(field, pts, sigma):
     """phi(x) = (1+|x|^2)^sigma and the scalar generator applied to it, analytically."""
-    phi = libm_pow(1.0 + np.sum(pts * pts, axis=1), sigma)
+    phi = np.power(1.0 + np.sum(pts * pts, axis=1), sigma)
     Q, b, _ = evaluate(field, pts)
     si = 1.0 + rowdot(pts, pts)
-    grad_fac = 2.0 * sigma * libm_pow(si, sigma - 1.0)
+    grad_fac = 2.0 * sigma * np.power(si, sigma - 1.0)
     xqx = ((pts[:, None, :] @ Q) @ pts[:, :, None])[:, 0, 0]
     trace_term = grad_fac * np.trace(Q, axis1=-2, axis2=-1) \
-        + 4.0 * sigma * (sigma - 1.0) * libm_pow(si, sigma - 2.0) * xqx
+        + 4.0 * sigma * (sigma - 1.0) * np.power(si, sigma - 2.0) * xqx
     drift_term = grad_fac * rowdot(b, pts)
     return phi, trace_term + drift_term
 
@@ -261,7 +261,7 @@ def check_growth(field: CoefficientField, phi_exponent, sample_spec=None) -> Gro
     spec = sample_spec or SampleSpec()
     pts = spec.points(field.dim_d)
     ann = spec.annulus_index(pts)
-    denom = libm_pow(1.0 + np.sum(pts * pts, axis=1), sigma + 1.0)
+    denom = np.power(1.0 + np.sum(pts * pts, axis=1), sigma + 1.0)
 
     Q, b, _ = evaluate(field, pts)
     q_ratio = np.max(np.abs(Q), axis=(-2, -1)) / denom
@@ -317,18 +317,18 @@ def estimate_kp(field: CoefficientField, p, sample_spec=None, constants=None) ->
     sups, ratios = {}, {}
     mu = bundle.mu_q(pts)
     r = bundle.r(pts)
-    q1sq = libm_pow(bundle.q1(pts), 2)
+    q1sq = np.power(bundle.q1(pts), 2)
     if not second_order:
         vals = r + (1.0 - p) * mu + q1sq / (4.0 * (p - 1.0) * mu) \
-            + coef[0] * libm_pow(bundle.c1(pts), 2)
+            + coef[0] * np.power(bundle.c1(pts), 2)
         sups["K_p"] = float(vals.max())
         trend_ok = _sup_trend_ok(vals, ann, spec.n_annuli)
     else:
         c1p, c2p, c3p, c4p, c5p, c6p = coef
         b2 = bundle.b2(pts)
-        v1 = r - c3p * mu + c1p * libm_pow(bundle.c1(pts), 2) \
+        v1 = r - c3p * mu + c1p * np.power(bundle.c1(pts), 2) \
             + 1.5 * q1sq / ((p - 1.0) * mu) + c2p * b2
-        v2 = 2.0 * r - c6p * mu + c4p * b2 + c5p * libm_pow(bundle.c2(pts), 2) \
+        v2 = 2.0 * r - c6p * mu + c4p * b2 + c5p * np.power(bundle.c2(pts), 2) \
             + 4.0 * q1sq / ((p - 1.0) * mu) + bundle.q2(pts)
         Q, b, _ = evaluate(field, pts)
         den = (1.0 + rowdot(pts, pts)) * mu

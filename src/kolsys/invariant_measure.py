@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from kolsys.coefficients import CoefficientField, _float_or_array, libm_pow
+from kolsys.coefficients import CoefficientField, _float_or_array
 from kolsys.discretization import (
     Grid,
     assemble_adjoint_operator,
@@ -70,7 +70,7 @@ class MeasureSystem:
         of each stored state of a Trajectory as an array over its times."""
         _check_same_nodes(f, self.mu)
         totals = self._total(np.abs(f.values) ** p)
-        return _float_or_array(libm_pow(totals, 1.0 / p))
+        return _float_or_array(np.power(totals, 1.0 / p))
 
 
 def _check_same_nodes(f, mu: MeasureDensity):
@@ -255,6 +255,6 @@ def bump_function(center, width):
 
     def psi(x):
         r2 = np.sum((x - center) ** 2, axis=-1) / width ** 2
-        return np.where(r2 < 1.0, libm_pow(1.0 - r2, 3), 0.0)
+        return np.where(r2 < 1.0, np.power(1.0 - r2, 3), 0.0)
 
     return psi

@@ -2,7 +2,8 @@
 
 Run from anywhere, with Python 3.11 or later:
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py              # every mutant (a few minutes)
+    python3 tests/mutants.py NAME ...     # only the named mutants
 
 Each mutant replaces `old`, which must occur exactly once in `file`, with
 `new`, in a fresh copy of this checkout in a temporary directory, and runs
@@ -10,7 +11,8 @@ its `test` there (`python -m pytest -q -x TEST`, on that copy's `src/`).
 The mutant is caught when the test fails, or gives no result within
 TIMEOUT seconds (a mutant that never kills its workers hangs), and
 survives when it passes.  One line per mutant goes to stdout; the exit
-status is 1 if any mutant survived or could not be applied.
+status is 1 if any mutant survived or could not be applied, and 2, with the
+known names listed, if a NAME is not in the table.
 """
 
 from __future__ import annotations
@@ -69,9 +71,17 @@ def verdict(mutant):
     return f"{mutant['name']}: caught by {mutant['test']}"
 
 
-def main():
+def main(names):
+    mutants = load()
+    unknown = set(names) - {m["name"] for m in mutants}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}; known: "
+              + ", ".join(m["name"] for m in mutants), file=sys.stderr)
+        return 2
     bad = 0
-    for mutant in load():
+    for mutant in mutants:
+        if names and mutant["name"] not in names:
+            continue
         line = verdict(mutant)
         bad += " SURVIVED " in line or " ERROR " in line
         print(line, flush=True)
@@ -79,4 +89,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

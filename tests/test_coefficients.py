@@ -8,7 +8,6 @@ from kolsys.coefficients import (
     CoefficientField,
     derivative_bundle,
     evaluate,
-    libm_pow,
     make_builtin,
     rowdot,
 )
@@ -139,11 +138,15 @@ def finite_difference_jacobian(fn, x, h=1e-4):
     (1.0, 1.0, "exchange2", 2, 1),
     (2.0, 0.5, "zeta3", 3, 1),
     (1.0, 1.0, "zeta3", 3, 2),
+    (2.0, 1.0, "constant_matrix", 2, 2),   # C = s^0 C0
+    (1.0, 0.0, "exchange2", 2, 2),         # the OU drift b = -b0 x
+    (0.7, 0.4, "exchange2", 2, 2),
 ])
 def test_bundle_matches_finite_differences(gamma, beta, kind, m, d):
     Q0 = np.eye(d) + 0.1 * np.ones((d, d))
+    C0 = np.array([[-1.0, 0.5], [0.5, -1.0]]) if kind == "constant_matrix" else None
     fam = BuiltinFamily(dim_d=d, dim_m=m, gamma=gamma, beta=beta, b0=1.3,
-                        Q0=Q0, coupling_kind=kind)
+                        Q0=Q0, coupling_kind=kind, C0=C0)
     field = make_builtin(fam)
     rng = np.random.default_rng(7)
     for _ in range(4):
@@ -259,13 +262,6 @@ def test_batched_evaluation_equals_single_points(d, gamma, beta, kind, seed):
         assert batch.shape == single.shape, name
         assert np.array_equal(batch, single), name
         assert np.array_equal(np.signbit(batch), np.signbit(single)), name
-
-
-def test_libm_pow_matches_python_float_pow():
-    # numpy's vectorized power rounds differently for a few percent of these
-    base = 1.0 + np.random.default_rng(3).uniform(0.0, 72.0, 2000)
-    for p in (0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.7):
-        assert np.array_equal(libm_pow(base, p), [v ** p for v in base.tolist()])
 
 
 def test_rowdot_matches_np_dot_bitwise():

@@ -179,6 +179,17 @@ def test_kp_first_order_exchange2():
     assert abs(est.sups["K_p"]) < 2.5  # sup sits near the origin
 
 
+@pytest.mark.parametrize("c_p", [0.25, 1.0, 4.0])
+def test_kp_first_order_matches_its_closed_form(c_p):
+    # exchange2 at d = 1, gamma = beta = 1, q0 = b0 = 1, p = 2, s = 1 + x^2:
+    # r = -s - 2x^2, mu_Q = s, Q1 = 2|x| and C1 = 4|x| / s^2
+    x = SampleSpec().points(1)[:, 0]
+    s = 1.0 + x * x
+    exact = np.max(-2.0 * s - 2.0 * x * x + x * x / s + c_p * (4.0 * np.abs(x) / s ** 2) ** 2)
+    est = estimate_kp(poly_family(gamma=1.0, beta=1.0), p=2.0, constants={"c_p": c_p})
+    assert est.sups["K_p"] == pytest.approx(exact, rel=1e-12)
+
+
 def test_kp_second_order_requires_constants():
     with pytest.raises(ValueError, match="missing constants"):
         estimate_kp(poly_family(), p=2.0, sample_spec=SPEC, constants={"c_1p": 1.0})
