@@ -429,14 +429,14 @@ def _suite_core(cfg, field, grid):
         xi_gf = grid_function_from_callable(grid, lambda _: list(xi.xi))
         eta_gf = grid_function_from_callable(grid, lambda _: list(eta / np.linalg.norm(eta)))
         sine = grid_function_from_callable(
-            grid, lambda x: [np.sin(x[..., 0])] * field.dim_m, m=field.dim_m)
+            grid, lambda x: [DATA_BUILDERS["sin"](x)] * field.dim_m, m=field.dim_m)
         reports = [verify_fixed_points(
             field, grid, [(xi_gf, True), (eta_gf, False), (sine, False)], dt=dt,
             theta=theta, fp_tol=cfg.get("verify", "fp_tol"),
             fp_gap=cfg.get("verify", "fp_gap"))]
 
         pos_datum = grid_function_from_callable(
-            grid, lambda x: [np.exp(-rowdot(x, x))] + [0.0] * (field.dim_m - 1),
+            grid, lambda x: [DATA_BUILDERS["gauss"](x)] + [0.0] * (field.dim_m - 1),
             m=field.dim_m)
         traj_pos = evolve(op, pos_datum, t_pos, dt=dt, theta=1.0,
                           store_times=[t_pos / 2, 1.0, t_pos])
@@ -483,7 +483,8 @@ def _suite_rates(cfg, field, grid):
     f_kink = grid_function_from_callable(
         grid, lambda x: [eps * np.log(np.cosh(radial(x) / eps))] + pad, m=field.dim_m)
     f_smooth = grid_function_from_callable(
-        grid, lambda x: [np.tanh(x[..., 0]), np.exp(-rowdot(x, x))] + pad[1:], m=field.dim_m)
+        grid, lambda x: [DATA_BUILDERS[name](x) for name in ("tanh", "gauss")] + pad[1:],
+        m=field.dim_m)
 
     # (k, h) = (1, 0) and (2, 0) share f_step and its denominator: each
     # distinct run happens once
@@ -628,9 +629,12 @@ def cmd_sweep(args, cfg):
     varied = ("gamma", "beta", "b0")
     # each sweep list defaults to the [problem] family's own value
     lists = [[getattr(family, key)] if cfg.get("sweep", key) is None
-             else cfg.get("sweep", key) for key in varied]
+             else cfg.get("sweep", key) for key in varied] + [cfg.get("sweep", "p")]
+    for key, values in zip(varied + ("p",), lists):
+        if not values:
+            raise ConfigError(f"sweep.{key} needs at least one value", cfg.line("sweep", key))
     cap = cfg.get("sweep", "cap")
-    combos = sorted(itertools.product(*lists, cfg.get("sweep", "p")))
+    combos = sorted(itertools.product(*lists))
     if len(combos) > cap:
         raise ConfigError(f"sweep of {len(combos)} runs exceeds the cap {cap}")
 

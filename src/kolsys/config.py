@@ -14,6 +14,7 @@ import numpy as np
 
 from kolsys.coefficients import COUPLING_KINDS, BuiltinFamily, rowdot
 from kolsys.discretization import BOUNDARY_KINDS, build_grid, grid_function_from_callable
+from kolsys.invariant_measure import bump_function
 from kolsys.semigroup import whole_steps
 
 
@@ -182,9 +183,11 @@ def grid_from_config(cfg: RunConfig, boundary_override=None):
 def time_from_config(cfg: RunConfig):
     dt, t_final = cfg.get("time", "dt"), cfg.get("time", "t_final")
     theta, store_every = cfg.get("time", "theta"), cfg.get("time", "store_every")
-    if dt <= 0 or t_final <= 0 or not 0 <= theta <= 1:
-        raise ConfigError("invalid [time] parameters: need dt > 0, t_final > 0, "
-                          "0 <= theta <= 1")
+    for key, bad in (("dt", not 0 < dt < np.inf), ("t_final", not 0 < t_final < np.inf),
+                     ("theta", not 0 <= theta <= 1)):
+        if bad:
+            raise ConfigError("invalid [time] parameters: need finite dt > 0 and t_final > 0, "
+                              "0 <= theta <= 1", cfg.line("time", key))
     if store_every is not None and store_every < 1:
         raise ConfigError(f"time.store_every must be at least 1, got {store_every}",
                           cfg.line("time", "store_every"))
@@ -210,7 +213,7 @@ def ladder_from_config(cfg: RunConfig):
 DATA_BUILDERS = {
     "tanh": lambda x: np.tanh(x[..., 0]),
     "gauss": lambda x: np.exp(-rowdot(x, x)),
-    "bump": lambda x: np.where(rowdot(x, x) < 4.0, np.power(1 - rowdot(x, x) / 4.0, 3), 0.0),
+    "bump": bump_function([0.0], 2.0),
     "sin": lambda x: np.sin(x[..., 0]),
     "one": lambda x: 1.0,
     "zero": lambda x: 0.0,

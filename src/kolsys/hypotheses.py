@@ -2,8 +2,10 @@
 
 Conditions quantified over all of R^d are checked on a sampled ball plus an
 annulus trend test, so reports distinguish `pass` (bounded trend) from
-`inconclusive`.  Also computes the common kernel direction of the coupling
-matrices, the vector spanning the fixed-point space of the semigroup.
+`inconclusive`.  The Lyapunov function (1+|x|^2)^sigma, its derivatives and
+the growth weight come from the coefficients' radial power.  Also computes
+the common kernel direction of the coupling matrices, the vector spanning
+the fixed-point space of the semigroup.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kolsys.coefficients import CoefficientField, derivative_bundle, evaluate, rowdot
+from kolsys.coefficients import CoefficientField, _radial_power, derivative_bundle, evaluate, rowdot
 from kolsys.discretization import tensor_nodes
 from kolsys.reports import CheckRecord, HypothesisReport, PropertyReport, Witness
 
@@ -78,12 +80,6 @@ def irreducibility_graph(pattern):
     return False, np.flatnonzero(reach[np.argmin(reach.sum(axis=1))]).tolist()
 
 
-def _norm(a, n_axes=1):
-    """np.linalg.norm of each vector (n_axes = 1) or matrix (2) on the last axes."""
-    flat = a.reshape(a.shape[:a.ndim - n_axes] + (-1,))
-    return np.sqrt(rowdot(flat, flat))
-
-
 def check_hypotheses(field: CoefficientField, sample_spec=None) -> HypothesisReport:
     """Certify ellipticity, coupling dissipativity, off-diagonal sign and
     irreducibility on the sample set."""
@@ -99,7 +95,7 @@ def check_hypotheses(field: CoefficientField, sample_spec=None) -> HypothesisRep
     # the diagonal is masked with +inf; adding 0.0 elsewhere turns -0.0 into 0.0
     offdiag_min = np.min(C + np.where(np.eye(m, dtype=bool), np.inf, 0.0), axis=(-2, -1))
     pattern_max = np.max(np.abs(C), axis=0)
-    c_scale = float(np.max(_norm(C, 2)))
+    c_scale = float(np.max(np.linalg.norm(C, axis=(-2, -1))))
 
     def tightest(name, key, pick, values, ok):
         """The record of `values` at its tightest sample point, pick(values),
@@ -140,7 +136,7 @@ def compute_common_kernel(field: CoefficientField, sample_spec=None,
     spec = sample_spec or SampleSpec()
     pts = spec.points(field.dim_d)
     mats = evaluate(field, pts)[2]
-    c_scale = float(np.max(_norm(mats, 2)))
+    c_scale = float(np.max(np.linalg.norm(mats, axis=(-2, -1))))
     if kernel_tol is None:
         kernel_tol = 1e-10 * max(1.0, c_scale)
     stacked = mats.reshape(-1, field.dim_m)
@@ -159,7 +155,7 @@ def compute_common_kernel(field: CoefficientField, sample_spec=None,
         raise ValueError("kernel vector has entries of both signs; "
                          "coupling violates the standing sign assumptions")
     xi = xi / np.linalg.norm(xi)
-    residual = float(np.max(_norm(mats @ xi)))
+    residual = float(np.max(np.linalg.norm(mats @ xi, axis=-1)))
     return KernelVector(xi=xi, residual=residual, sample_count=len(pts))
 
 
@@ -167,16 +163,12 @@ _LYAPUNOV_C_GRID = [2.0 ** k for k in range(-10, 11)]
 
 
 def _phi_and_generator(field, pts, sigma):
-    """phi(x) = (1+|x|^2)^sigma and the scalar generator applied to it, analytically."""
-    phi = np.power(1.0 + np.sum(pts * pts, axis=1), sigma)
+    """phi(x) = (1+|x|^2)^sigma and A0 phi = Tr(Q D^2 phi) + <b, grad phi>."""
     Q, b, _ = evaluate(field, pts)
-    si = 1.0 + rowdot(pts, pts)
-    grad_fac = 2.0 * sigma * np.power(si, sigma - 1.0)
-    xqx = ((pts[:, None, :] @ Q) @ pts[:, :, None])[:, 0, 0]
-    trace_term = grad_fac * np.trace(Q, axis1=-2, axis2=-1) \
-        + 4.0 * sigma * (sigma - 1.0) * np.power(si, sigma - 2.0) * xqx
-    drift_term = grad_fac * rowdot(b, pts)
-    return phi, trace_term + drift_term
+    # D^2 phi is symmetric, so Tr(Q D^2 phi) is the sum of the entrywise product
+    trace_term = np.sum(Q * _radial_power(pts, sigma, 2), axis=(-2, -1))
+    drift_term = rowdot(b, _radial_power(pts, sigma, 1))
+    return _radial_power(pts, sigma, 0), trace_term + drift_term
 
 
 @dataclass
@@ -261,7 +253,7 @@ def check_growth(field: CoefficientField, phi_exponent, sample_spec=None) -> Gro
     spec = sample_spec or SampleSpec()
     pts = spec.points(field.dim_d)
     ann = spec.annulus_index(pts)
-    denom = np.power(1.0 + np.sum(pts * pts, axis=1), sigma + 1.0)
+    denom = _radial_power(pts, sigma + 1.0, 0)
 
     Q, b, _ = evaluate(field, pts)
     q_ratio = np.max(np.abs(Q), axis=(-2, -1)) / denom
@@ -331,9 +323,9 @@ def estimate_kp(field: CoefficientField, p, sample_spec=None, constants=None) ->
         v2 = 2.0 * r - c6p * mu + c4p * b2 + c5p * np.power(bundle.c2(pts), 2) \
             + 4.0 * q1sq / ((p - 1.0) * mu) + bundle.q2(pts)
         Q, b, _ = evaluate(field, pts)
-        den = (1.0 + rowdot(pts, pts)) * mu
-        rq = _norm(Q, 2) / den
-        rqx = _norm(Q @ pts[:, :, None], 2) / den
+        den = _radial_power(pts, 1.0, 0) * mu
+        rq = np.linalg.norm(Q, axis=(-2, -1)) / den
+        rqx = np.linalg.norm(Q @ pts[:, :, None], axis=(-2, -1)) / den
         rb = rowdot(b, pts) / den
         sups["K_1p"] = float(v1.max())
         sups["K_2p"] = float(v2.max())
@@ -357,7 +349,7 @@ def spectral_check_C(field: CoefficientField, sample_points,
     """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     C = evaluate(field, pts)[2]
-    scale = np.maximum(1.0, _norm(C, 2))
+    scale = np.maximum(1.0, np.linalg.norm(C, axis=(-2, -1)))
     eig = np.linalg.eigvals(C)
     re_max = np.max(eig.real, axis=-1) / scale
     on_axis = np.abs(eig.real) <= tol_eig * scale[:, None]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from kolsys.coefficients import CoefficientField, _float_or_array
+from kolsys.coefficients import CoefficientField, _float_or_array, rowdot
 from kolsys.discretization import (
     Grid,
     assemble_adjoint_operator,
@@ -254,7 +254,7 @@ def bump_function(center, width):
     center = np.atleast_1d(np.asarray(center, dtype=float))
 
     def psi(x):
-        r2 = np.sum((x - center) ** 2, axis=-1) / width ** 2
+        r2 = rowdot(x - center, x - center) / width ** 2
         return np.where(r2 < 1.0, np.power(1.0 - r2, 3), 0.0)
 
     return psi

@@ -122,6 +122,24 @@ def test_t_final_not_a_multiple_of_dt_rejected_with_line(fast_cfg, tmp_path, cap
     assert "line 17: time.t_final" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("edits,line", [
+    ({"dt = 2e-3": "dt = 0"}, 16), ({"t_final = 2.0": "t_final = -2.0"}, 17),
+    ({"theta = 0.5": "theta = 1.5"}, 18), ({"theta = 0.5": "theta = -0.5"}, 18),
+    ({"dt = 2e-3": "dt = -1e-3", "theta = 0.5": "theta = 2"}, 16),
+    # a NaN dt was blamed on t_final's line, and t_final = inf raised an
+    # OverflowError, which the CLI turned into exit 1 with a traceback
+    ({"dt = 2e-3": "dt = nan"}, 16), ({"t_final = 2.0": "t_final = inf"}, 17)])
+def test_bad_time_parameter_rejected_with_the_line_of_the_first(fast_cfg, tmp_path, edits,
+                                                                line):
+    text = fast_cfg.read_text()
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "time.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^line {line}: invalid \\[time\\] parameters"):
+        time_from_config(parse_config(path))
+
+
 @pytest.mark.parametrize("suite,dt,t_final,t", [
     ("core", "3e-3", "3.0", "0.1"), ("asymptotic", "3e-3", "3.0", "1.0"),
     ("counterexample", "3e-3", "6.0", "5.0"), ("core", "1e-3", "1.001", "0.5005")])
@@ -423,6 +441,18 @@ def test_sweep_negative_beta_exits_2(tmp_path):
     path.write_text(FAST_CFG + "\n[sweep]\nbeta = -1, 1\n")
     out = tmp_path / "s.csv"
     assert run(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["p =", "beta = ,", "gamma = , ,", "b0 ="])
+def test_empty_sweep_list_rejected_with_line(tmp_path, capsys, entry):
+    # an empty list used to make no rows: the CSV held only its header, exit 0
+    text = FAST_CFG + f"\n[sweep]\ncap = 8\n{entry}\n"
+    path, out = tmp_path / "sweep.cfg", tmp_path / "s.csv"
+    path.write_text(text)
+    assert run(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    line, key = text.splitlines().index(entry) + 1, entry.split("=")[0].strip()
+    assert f"line {line}: sweep.{key} needs at least one value" in capsys.readouterr().err
     assert not out.exists()
 
 

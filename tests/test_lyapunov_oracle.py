@@ -27,9 +27,10 @@ from kolsys.hypotheses import SampleSpec, _LYAPUNOV_C_GRID, _phi_and_generator, 
 SPEC = SampleSpec(radius=6.0, n_per_axis=81)
 
 
-def field(gamma=0.0, beta=1.0, q0=1.0, b0=1.0):
-    return make_builtin(BuiltinFamily(dim_d=1, dim_m=2, gamma=gamma, beta=beta, b0=b0,
-                                      Q0=q0 * np.eye(1), coupling_kind="exchange2"))
+def field(gamma=0.0, beta=1.0, q0=1.0, b0=1.0, Q0=None):
+    Q0 = q0 * np.eye(1) if Q0 is None else np.asarray(Q0)
+    return make_builtin(BuiltinFamily(dim_d=len(Q0), dim_m=2, gamma=gamma, beta=beta, b0=b0,
+                                      Q0=Q0, coupling_kind="exchange2"))
 
 
 def generator_of_phi(x, sigma, gamma=0.0, beta=1.0, q0=1.0, b0=1.0):
@@ -38,6 +39,17 @@ def generator_of_phi(x, sigma, gamma=0.0, beta=1.0, q0=1.0, b0=1.0):
     return (2 * sigma * q0 * s ** (gamma + sigma - 1)
             + 4 * sigma * (sigma - 1) * q0 * (s - 1) * s ** (gamma + sigma - 2)
             - 2 * sigma * b0 * (s - 1) * s ** (beta + sigma - 1))
+
+
+def generator_of_phi_2d(pts, sigma, gamma, beta, Q0, b0):
+    """A0 phi at points of shape (n, 2) for Q = s^gamma Q0, b = -b0 x s^beta:
+    2 sigma s^(sigma-1) Tr Q + 4 sigma (sigma-1) s^(sigma-2) x^T Q x
+    + 2 sigma s^(sigma-1) <b, x>."""
+    s = 1.0 + np.sum(pts * pts, axis=1)
+    xq0x = np.einsum("ni,ij,nj->n", pts, Q0, pts)
+    return (2 * sigma * s ** (sigma - 1) * s ** gamma * np.trace(Q0)
+            + 4 * sigma * (sigma - 1) * s ** (sigma - 2) * s ** gamma * xq0x
+            - 2 * sigma * s ** (sigma - 1) * b0 * (s - 1) * s ** beta)
 
 
 def exact_a(c):
@@ -53,6 +65,17 @@ def test_generator_matches_the_closed_form():
         exact = generator_of_phi(pts[:, 0], sigma, gamma, beta, q0, b0)
         assert np.allclose(phi, (1.0 + pts[:, 0] ** 2) ** sigma, rtol=1e-15, atol=0.0)
         assert np.max(np.abs(a_phi - exact) / np.maximum(1.0, np.abs(exact))) < 1e-13
+    # d = 2 with a cross term q12 != 0 in Q0, and sigma away from 1
+    pts = SPEC.points(2)
+    for gamma, beta, sigma, Q0, b0 in [(0.5, 0.3, 0.7, [[2.0, 0.6], [0.6, 1.0]], 0.5),
+                                       (1.0, 1.0, 2.5, [[1.0, -0.4], [-0.4, 0.8]], 1.5)]:
+        phi, a_phi = _phi_and_generator(field(gamma, beta, b0=b0, Q0=Q0), pts, sigma)
+        exact = generator_of_phi_2d(pts, sigma, gamma, beta, np.array(Q0), b0)
+        s = 1.0 + np.sum(pts * pts, axis=1)
+        assert np.allclose(phi, s ** sigma, rtol=1e-15, atol=0.0)
+        # where the diffusion and drift terms cancel to 1% of their size the
+        # relative error reads 4.6e-14; flipping q12 moves it by more than 1
+        assert np.max(np.abs(a_phi - exact) / np.maximum(1.0, np.abs(exact))) < 1e-12
 
 
 def test_sampled_a_never_exceeds_the_exact_supremum():

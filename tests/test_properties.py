@@ -39,6 +39,7 @@ from kolsys.properties import (
     verify_scalar_invariance,
     verify_semigroup_bounds,
 )
+from kolsys.reports import RateFit
 from kolsys.semigroup import NestedSolveResult, Trajectory, evolve, solve_nested
 
 XI = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -450,6 +451,12 @@ def _scaled_run(grid, f, scales, times):
                       boundary_kind="neumann")
 
 
+def _uniform_density(grid):
+    w = grid.quadrature_weights()
+    return MeasureDensity(grid=grid, rho=np.full(grid.n_nodes, 1.0 / np.sum(w)), weights=w,
+                          norm_residual=0.0)
+
+
 @pytest.mark.parametrize("ratio", [1.5, 1 / 1.5], ids=["above", "below"])
 def test_l2_gradient_integral_bound_at_its_threshold(setup, ratio):
     # T(t) f = e^{-t} f: h(t) = e^{-2t} h(0) decays below 0.05 h(0.1) by t = 3
@@ -485,9 +492,7 @@ def test_uniform_density_fails_infinitesimal_invariance(setup):
     # constants span the kernel of the generator itself (A 1 = 0), not of its
     # adjoint: under a nonzero drift the uniform law is not invariant
     field, grid, _, _, _, mu, _ = setup
-    w = grid.quadrature_weights()
-    uniform = MeasureDensity(grid=grid, rho=np.full(grid.n_nodes, 1.0 / np.sum(w)),
-                             weights=w, norm_residual=0.0)
+    uniform = _uniform_density(grid)
     bumps = [bump_function([0.0], 2.0), bump_function([1.0], 1.5),
              bump_function([-2.0], 1.0)]
     assert check_infinitesimal_invariance(field, mu, bumps, inv_tol=1e-4).passed
@@ -527,9 +532,7 @@ def test_decoupled_run_fails_longtime_convergence(setup):
 def test_uniform_density_fails_scalar_invariance(setup):
     # the scalar runs conserve their mass against mu, not against the uniform law
     field, grid, _, op_s, _, mu, _ = setup
-    w = grid.quadrature_weights()
-    uniform = MeasureDensity(grid=grid, rho=np.full(grid.n_nodes, 1.0 / np.sum(w)),
-                             weights=w, norm_residual=0.0)
+    uniform = _uniform_density(grid)
     scalars = [grid_function_from_callable(grid, fn, m=1)
                for fn in (lambda x: np.tanh(x[..., 0]), lambda x: np.exp(-x[..., 0] ** 2))]
     runs = evolve(op_s, scalars, 2.0, dt=1e-2, store_times=[0.1, 1.0, 2.0])
@@ -587,6 +590,68 @@ def test_nested_convergence_rule(discrepancies, gap, passed):
     result = NestedSolveResult(trajectory=None, discrepancies=discrepancies,
                                converged=discrepancies[-1] <= 1e-4, dirichlet_neumann_gap=gap)
     assert verify_nested_convergence(result, 1e-4).passed == passed
+
+
+# near-threshold controls from hand-built records: no run, no density solve
+
+def _synthetic_fit(slope, product_ratio):
+    return RateFit(t_min=1e-3, t_max=1e-1, times=[1e-3, 1e-1], values=[1.0, 1.0], slope=slope,
+                   intercept=0.0, fit_residual=0.0, product_exponent=1.0,
+                   product_ratio=product_ratio, bounded_product=product_ratio <= 50.0)
+
+
+@pytest.mark.parametrize("slope, product_ratio, passed", [
+    (-1.249, 50.0, True), (-1.251, 50.0, False),       # the slope bound -1 - 0.25
+    (-1.0, 49.95, True), (-1.0, 50.05, False),         # the ratio cap 50
+])
+def test_rate_report_fails_just_past_its_slope_bound_or_its_ratio_cap(slope, product_ratio,
+                                                                      passed):
+    # k = 1, h = 0, p = 2: exponent (k - h) p / 2 = 1
+    rep = rate_report(_synthetic_fit(slope, product_ratio), k=1, h=0, p=2.0,
+                      slope_margin=0.25, ratio_cap=50.0)
+    assert rep.passed == passed and rep.bound == -1.25
+
+
+@pytest.mark.parametrize("nest_tol, solve_tol, passed", [
+    (1.02e-4, 1e-5, True),      # the solve's own tolerance failed the ladder
+    (1e-4, 1e-3, False),        # the solve's own tolerance passed it
+])
+def test_nested_convergence_is_judged_at_the_tolerance_it_is_given(nest_tol, solve_tol, passed):
+    # the last discrepancy 1.01e-4 lies 1% above 1e-4 and 1% below 1.02e-4
+    discrepancies, gap = [2e-2, 5e-4, 1.01e-4], 1e-5
+    result = NestedSolveResult(trajectory=None, discrepancies=discrepancies,
+                               converged=discrepancies[-1] <= solve_tol,
+                               dirichlet_neumann_gap=gap)
+    rep = verify_nested_convergence(result, nest_tol)
+    assert rep.passed == passed and rep.measured == 1.01e-4
+
+
+@pytest.mark.parametrize("drifts, passed", [
+    ((0.99e-3,), True), ((1.01e-3,), False),
+    ((1.01e-3, 0.99e-3), False), ((0.99e-3, 0.5e-3), True),
+])
+def test_scalar_invariance_fails_just_past_its_tolerance_in_any_run(drifts, passed):
+    # each run's mass leaves 1 by `drift` at t = 1 and is back at t = 2, so
+    # its worst relative drift is `drift`; the tolerance is 1e-3
+    grid = build_grid(1, 2.0, 21, "neumann")
+    one = GridFunction(grid, np.ones((1, grid.n_nodes)))
+    runs = [_scaled_run(grid, one, [1.0, 1.0 + drift, 1.0], [0.0, 1.0, 2.0]) for drift in drifts]
+    rep = verify_scalar_invariance(runs, _uniform_density(grid))
+    assert rep.passed == passed
+    assert rep.measured == pytest.approx(max(drifts), rel=1e-9)
+
+
+@pytest.mark.parametrize("drift, passed", [(0.99e-2, True), (1.01e-2, False)])
+def test_system_invariance_fails_just_past_its_tolerance_at_any_time(drift, passed):
+    # the datum xi has total 1 and sup norm 1; the total leaves 1 by `drift`
+    # at t = 1 and is back at t = 2, so only the middle time decides
+    grid = build_grid(1, 2.0, 21, "neumann")
+    sys = build_measure_system(KernelVector(xi=XI, residual=0.0, sample_count=1),
+                               _uniform_density(grid), 1.0)
+    traj = _scaled_run(grid, xi_function(grid), [1.0, 1.0 + drift, 1.0], [0.0, 1.0, 2.0])
+    rep = verify_invariance(traj, sys, inv_tol=1e-2)
+    assert rep.passed == passed and rep.witness.t == 1.0
+    assert rep.measured == pytest.approx(drift, rel=1e-9)
 
 
 def test_l2_decay_and_counterexample_reject_density_on_other_nodes(setup):
