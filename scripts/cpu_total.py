@@ -26,6 +26,9 @@ the import path).  One JSON line goes to stdout:
   helpers (about 3 MB under a pyenv shim).  A forked worker starts with
   the pages it shares with this process, so this counts them too.
 
+Both peaks are in MB of 10^6 bytes, kB x 1024 / 1e6, as the benchmark's
+`peak_rss_mb` reads `ru_maxrss`.
+
 What the command prints goes to stderr, so stdout holds the JSON line alone.
 """
 
@@ -44,12 +47,17 @@ def cpu(who):
     return usage.ru_utime + usage.ru_stime
 
 
+def mb(kb):
+    """Kilobytes of 1024 bytes in MB of 10^6 bytes."""
+    return kb * 1024 / 1e6
+
+
 def vm_hwm_mb():
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
             for line in fh:
                 if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
+                    return mb(int(line.split()[1]))
     except OSError:
         pass
     return None
@@ -66,10 +74,10 @@ def main(argv):
     wall = time.monotonic() - start
     own = cpu(resource.RUSAGE_SELF) - self0
     children = cpu(resource.RUSAGE_CHILDREN) - children0
+    children_hwm = mb(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     print(json.dumps({"rc": rc, "wall_s": wall, "self_cpu_s": own, "children_cpu_s": children,
                       "total_cpu_s": own + children, "vm_hwm_mb": vm_hwm_mb(),
-                      "children_hwm_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-                      / 1024.0}))
+                      "children_hwm_mb": children_hwm}))
     return rc
 
 

@@ -178,9 +178,12 @@ def cmd_check(args, cfg):
 
 
 def _node_cells(grid):
-    """The `node_index,x1[,x2]` cells of every node, formatted once."""
-    return [",".join([str(idx)] + list(map(repr, x)))
-            for idx, x in enumerate(grid.nodes.tolist())]
+    """The `node_index,x1[,x2]` cells of every node, formatted once: each
+    axis coordinate is formatted once, and the nodes, the tensor product of
+    the axis in lexicographic order, join them."""
+    coords = list(map(repr, grid.axis.tolist()))
+    return [",".join([str(idx), *x])
+            for idx, x in enumerate(itertools.product(coords, repeat=grid.d))]
 
 
 def _rows(cells, values):
@@ -353,19 +356,21 @@ def _ladder_runs(field, grids, data, t_final, dt, theta, store_every, csv=None):
 def _stream(steps, csv, at):
     """evolve's result from `steps`, a fresh `_stepping` generator of a
     stack, with the CSV of its run `at` put into the list `csv` one stored
-    time at a time.  The stored states come through `_forked`: on two or
-    more usable cores a worker steps and sends each one over a pipe into
-    the result's arrays, and this process formats them as they come; on one
+    time at a time.  The stored states come through `_forked`, run by run:
+    on two or more usable cores a worker steps and sends each one over a
+    pipe into its run's array, and this process formats them as they come
+    (the node cells and the first block while the worker factors); on one
     this process steps and formats in turn."""
     result, outs = next(steps)
-    run, nodes = result[at], _node_cells(result[at].grid)
-    _trajectory_csv(run, 0, nodes, csv)
-    states = (tuple(out[:, i] for out in outs) for i in steps)
+    run = result[at]
+    states = (tuple(out[i] for out in outs) for i in steps)
     with _forked(states, f"task 0 ({steps.__qualname__})") as states:
         del steps       # once a worker steps, this frees this process's copy of the stepper
+        nodes = _node_cells(run.grid)
+        _trajectory_csv(run, 0, nodes, csv)
         for i in range(1, len(run.times)):
             for out, state in zip(outs, next(states)):
-                out[:, i] = state
+                out[i] = state
             _trajectory_csv(run, i, nodes, csv)
     return result
 

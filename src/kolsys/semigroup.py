@@ -13,7 +13,10 @@ one loop with one factorization: solve_nested stacks its rungs and the
 other-boundary twin this way, and judge_ladder judges a ladder's runs
 however they were made.  Every (block, column) segment is held to the 1e-10
 relative residual on its own, and equals, bit for bit, the run of that
-datum alone (see ThetaStepper).
+datum alone (see ThetaStepper).  Each run of a batch or a stack owns the
+array of its stored states, so a run kept alone keeps no other alive, and
+the reductions over a run (cesaro_average, the window discrepancies of
+judge_ladder) hold one stored time at a time.
 """
 
 from __future__ import annotations
@@ -325,7 +328,8 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
     share t_final and the stored times and step as the columns of one
     block, a lone datum as one column (see ThetaStepper): one
     factorization, the 1e-10 relative residual held column by column, and
-    each Trajectory bitwise equal to evolving that datum alone.
+    each Trajectory bitwise equal to evolving that datum alone.  Each
+    Trajectory owns its states: no two runs share memory.
 
     `op` may also be a sequence of operators, which step as the blocks of
     one block-diagonal system: `f` then holds one entry per operator, each
@@ -349,9 +353,11 @@ def evolve(op: DiscreteOperator, f, t_final, dt=1e-3, theta=0.5,
 
 def _stepping(op, f, t_final, dt, theta, store_every, store_times):
     """evolve's one stepping loop.  It yields (result, outs) first: evolve's
-    result, whose runs' values are read-only views of `outs`, one (k,
-    n_times, m, N) array per operator, the initial data stored; then the
-    index of each later stored time once its states are in outs."""
+    result, and `outs`, the (n_times, m, N) array of each run, in stack
+    order (the runs of the first operator, then of the next), with the
+    initial data stored; each run's values are a read-only view of its own
+    array.  Then it yields the index of each later stored time once its
+    states are in outs."""
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     n_steps = whole_steps(t_final, dt, "t_final")
@@ -370,22 +376,24 @@ def _stepping(op, f, t_final, dt, theta, store_every, store_times):
     stepper = ThetaStepper(ops, dt, theta,
                            np.vstack([np.array([o.restrict(g) for g in d]).T
                                       for o, d in zip(ops, data)]))
-    # every datum's stored states, written in place; zero off the dof nodes
-    outs = [np.zeros((k, len(marks), o.m, o.grid.n_nodes)) for o in ops]
-    for out, d in zip(outs, data):
-        out[:, 0] = [g.values for g in d]
+    # each run's stored states, per operator, written in place; zero off the
+    # dof nodes
+    outs = [[np.zeros((len(marks), o.m, o.grid.n_nodes)) for _ in d] for o, d in zip(ops, data)]
     results = []
-    for o, out, many in zip(ops, outs, batched):
-        trajectories = [Trajectory(times=np.array(marks) * dt, values=v, grid=o.grid, dt=dt,
-                                   theta=theta, boundary_kind=o.boundary_kind) for v in out]
+    for o, runs, d, many in zip(ops, outs, data, batched):
+        for out, g in zip(runs, d):
+            out[0] = g.values
+        trajectories = [Trajectory(times=np.array(marks) * dt, values=out, grid=o.grid, dt=dt,
+                                   theta=theta, boundary_kind=o.boundary_kind) for out in runs]
         results.append(trajectories if many else trajectories[0])
-    yield (results if stacked else results[0]), outs
+    yield (results if stacked else results[0]), [out for runs in outs for out in runs]
     slot = {s: i for i, s in enumerate(marks)}
     for s in range(1, n_steps + 1):
         u = stepper.step()
         if s in slot:
-            for o, out, (lo, hi) in zip(ops, outs, stepper.blocks):
-                out[:, slot[s]][..., o.dof_indices] = u[lo:hi].T.reshape(k, o.m, o.n_dof)
+            for o, runs, (lo, hi) in zip(ops, outs, stepper.blocks):
+                for j, out in enumerate(runs):
+                    out[slot[s]][:, o.dof_indices] = u[lo:hi, j].reshape(o.m, o.n_dof)
             yield slot[s]
 
 
@@ -397,11 +405,18 @@ def cesaro_average(traj: Trajectory) -> GridFunction:
     limit, but P_n f - R_n f = O(1/n) by a boundary term of the continuous
     semigroup, not by discretization error.  The identity that holds exactly
     at integer n is P_n f = R_n(P_1 f).
+
+    The trapezoid sum runs one interval at a time, from zero and in time
+    order, with np.trapezoid's arithmetic: the same bits, and a few states
+    of memory rather than a copy of the run.
     """
-    if len(traj.times) < 2:
+    times, values = traj.times, traj.values
+    if len(times) < 2:
         raise ValueError("cesaro_average needs at least two stored snapshots")
-    avg = np.trapezoid(traj.values, traj.times, axis=0) / (traj.times[-1] - traj.times[0])
-    return GridFunction(traj.grid, avg)
+    total = np.zeros(values.shape[1:])
+    for i, width in enumerate(np.diff(times)):
+        total += width * (values[i + 1] + values[i]) / 2.0
+    return GridFunction(traj.grid, total / (times[-1] - times[0]))
 
 
 def discrete_average(op: DiscreteOperator, f: GridFunction, n, dt=1e-3, theta=0.5) -> GridFunction:
@@ -428,7 +443,8 @@ def _check_same_times(a: Trajectory, b: Trajectory):
 
 
 def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
-    """Sup over window nodes, stored times and components of |a - b|.
+    """Sup over window nodes, stored times and components of |a - b|, taken
+    one stored time at a time.
 
     The grids share h and both boxes reach beyond r_obs, so the two windows
     hold the same nodes in the same lexicographic order.
@@ -440,7 +456,8 @@ def _window_discrepancy(traj_a: Trajectory, traj_b: Trajectory, r_obs):
             np.max(np.abs(ga.nodes[ia] - gb.nodes[ib])) > 1e-9 * ga.h:
         raise ValueError("observation windows do not hold the same grid nodes")
     _check_same_times(traj_a, traj_b)
-    return float(np.max(np.abs(traj_a.values[..., ia] - traj_b.values[..., ib])))
+    return float(np.max([np.max(np.abs(a[:, ia] - b[:, ib]))
+                         for a, b in zip(traj_a.values, traj_b.values)]))
 
 
 def nested_ladder(field, f_fn, ladder, r_obs, boundary_kind="neumann"):

@@ -609,6 +609,28 @@ def test_cpu_total_reports_one_json_line_and_the_command_exit_code(fast_cfg, tmp
         rec["children_hwm_mb"] >= 0
 
 
+def test_cpu_total_reports_peaks_in_the_benchmarks_mb(fast_cfg, tmp_path):
+    # the benchmark's peak_rss_mb is ru_maxrss (kB) x 1024 / 1e6 of the
+    # command's process, its reaped workers included; the two peaks the
+    # script reports are that figure's parts, in that unit, not in MiB.  A
+    # small launcher spawns the script as the benchmark does, since a child
+    # forked from this large process starts its ru_maxrss at this one's size
+    launcher = ("import os, subprocess, sys\n"
+                "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, text=True)\n"
+                "line = proc.stdout.read()\n"
+                "_, status, usage = os.wait4(proc.pid, 0)\n"
+                "print(line.strip(), usage.ru_maxrss * 1024 / 1e6, sep='\\n')\n")
+    proc = subprocess.run([sys.executable, "-c", launcher, sys.executable,
+                           os.path.join(ROOT, "scripts", "cpu_total.py"), "verify", "--suite",
+                           "counterexample", "--config", str(fast_cfg),
+                           "--out", str(tmp_path / "report.txt")],
+                          capture_output=True, text=True, check=True)
+    line, peak = proc.stdout.splitlines()
+    rec = json.loads(line)
+    assert rec["rc"] == 0
+    assert max(rec["vm_hwm_mb"], rec["children_hwm_mb"]) == pytest.approx(float(peak), rel=0.01)
+
+
 # -- _concurrently: independent tasks, the first here and the others in forked workers
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,14 @@ from kolsys.properties import (
     verify_semigroup_bounds,
 )
 from kolsys.reports import RateFit
-from kolsys.semigroup import NestedSolveResult, Trajectory, evolve, solve_nested
+from kolsys.semigroup import (
+    NestedSolveResult,
+    Trajectory,
+    _window_discrepancy,
+    cesaro_average,
+    evolve,
+    solve_nested,
+)
 
 XI = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
@@ -839,3 +848,122 @@ def test_array_reductions_equal_per_snapshot_loops():
     rep = verify_l2_gradient_decay(traj, mu, mu0=1.0, t_ref=0.1)
     assert (rep.measured, rep.details["h_ref"]) == (hs[-1], hs[1])
     assert rep.details["integral"] == float(np.trapezoid(hs, traj.times))
+
+
+# -- thresholds of the checks that evolve runs of their own --------------------
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_fixed_points_fails_just_past_its_moving_gap(above):
+    # e1 is no fixed point of the exchange coupling and moves by some gap g
+    # by t = 1, while xi stays put: fp_gap = g passes, the next float fails
+    grid = build_grid(1, 4.0, 41, "neumann")
+    e1 = grid_function_from_callable(grid, lambda _: [1.0, 0.0])
+    candidates = [(xi_function(grid), True), (e1, False)]
+    gap = verify_fixed_points(exchange2_field(), grid, candidates, dt=1e-2).details["moving_gap"]
+    rep = verify_fixed_points(exchange2_field(), grid, candidates, dt=1e-2,
+                              fp_gap=np.nextafter(gap, np.inf) if above else gap)
+    assert rep.details["moving_gap"] == gap and rep.details["fixed_residual"] <= 1e-12
+    assert rep.passed != above
+
+
+@pytest.mark.parametrize("shift, passed", [(0.9e-3, True), (1.1e-3, False)])
+def test_cesaro_identity_fails_just_past_its_tolerance(shift, passed):
+    # the run of f stored every 0.01, as P_1 f is, meets P_2 f = R_2(P_1 f)
+    # at round-off; raising its state at t = 1 by c moves the trapezoid mean
+    # P_2 f by c 0.01 / 2, so the gap is `shift`; the tolerance is 1e-3
+    grid = build_grid(1, 4.0, 41, "neumann")
+    op = assemble_system_operator(exchange2_field(), grid)
+    run = evolve(op, tanh_gauss(grid), 2.0, dt=1e-2, store_every=1)
+    values = run.values.copy()
+    values[100] += shift * 2.0 / 0.01
+    traj = Trajectory(times=run.times, values=values, grid=grid, dt=run.dt, theta=run.theta,
+                      boundary_kind=run.boundary_kind)
+    rep = verify_cesaro_identity(op, traj, r_obs=3.0)
+    assert rep.passed == passed
+    assert rep.measured == pytest.approx(shift, rel=1e-9)
+
+
+@pytest.mark.parametrize("eps, mode", [(1e-12, "neutral"), (4e-12, "decay")])
+def test_counterexample_mode_splits_neutral_from_decay_at_its_tolerance(eps, mode):
+    # C0 = exchange - eps I has largest symmetric eigenvalue -eps, and the
+    # split lies at 1e-12 |C0| = 2e-12: eps = 1e-12 is neutral, 4e-12 decays
+    grid = build_grid(1, 4.0, 21, "neumann")
+    C0 = np.array([[-1.0, 1.0], [1.0, -1.0]]) - eps * np.eye(2)
+    f = grid_function_from_callable(grid, lambda _: [1 / np.sqrt(2)] * 2)
+    rep = counterexample_mode(constant_c_field(C0), f, t_final=0.5, dt=0.05,
+                              mu_hat=_uniform_density(grid))
+    assert rep.details["mode"] == mode
+
+
+# -- reductions over a run, one stored time at a time --------------------------
+
+def test_longtime_error_curve_reads_the_window_only():
+    # after t = 0 every state is M_f xi on the window |x| <= 1 and is off it
+    # by 0.05 at x = 2 alone: the error curve reads 0 there
+    grid = build_grid(1, 2.0, 9, "neumann")
+    sys = build_measure_system(KernelVector(xi=XI, residual=0.0, sample_count=1),
+                               _uniform_density(grid), 1.0)
+    f = xi_function(grid).values * (1.0 + 0.1 * grid.nodes[:, 0])
+    m_f = functional_Mf(GridFunction(grid, f), sys) / sys.scale
+    later = np.repeat(m_f * XI[:, None], grid.n_nodes, axis=1)
+    later[0, -1] += 0.05
+    traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), values=np.array([f, later, later]),
+                      grid=grid, dt=1.0, theta=1.0, boundary_kind="neumann")
+    rep = verify_longtime(traj, sys, r_obs=1.0)
+    assert rep.details["errors"][0] > 0.0 and rep.details["errors"][1:].tolist() == [0.0, 0.0]
+    assert rep.measured == 0.0
+
+
+def test_l2_gradient_h_sums_every_component_and_axis():
+    # u(t, x) = e^{-t} (x1 + 2 x2, 3 x1 - x2) at d = 2: central and one-sided
+    # differences are exact on linear data, so h(t) = (1 + 4 + 9 + 1) e^{-2t}
+    # against a density of mass 1
+    grid = build_grid(2, 2.0, 9, "neumann")
+    x1, x2 = grid.nodes.T
+    times = np.linspace(0.0, 3.0, 31)
+    values = np.multiply.outer(np.exp(-times), np.array([x1 + 2.0 * x2, 3.0 * x1 - x2]))
+    traj = Trajectory(times=times, values=values, grid=grid, dt=0.1, theta=1.0,
+                      boundary_kind="neumann")
+    rep = verify_l2_gradient_decay(traj, _uniform_density(grid), mu0=1.0, t_ref=0.1)
+    assert rep.measured == pytest.approx(15.0 * np.exp(-6.0), rel=1e-12)
+    assert rep.details["h_ref"] == pytest.approx(15.0 * np.exp(-0.2), rel=1e-12)
+
+
+def _long_runs(n_times=128):
+    """Two hand-built runs of n_times stored states on boxes of one h, a
+    density of mass 1 on the first box and its measure system."""
+    runs = []
+    for L, n in ((4.0, 161), (5.0, 201)):
+        grid = build_grid(1, L, n, "neumann")
+        x = grid.nodes[:, 0]
+        times = np.linspace(0.0, 4.0, n_times)
+        runs.append(Trajectory(times=times, values=0.5 + np.multiply.outer(
+            np.exp(-times), np.array([np.tanh(x), np.exp(-x ** 2)])), grid=grid, dt=times[1],
+            theta=0.5, boundary_kind="neumann"))
+    mu = _uniform_density(runs[0].grid)
+    return runs, mu, build_measure_system(KernelVector(xi=XI, residual=0.0, sample_count=1),
+                                          mu, 1.0)
+
+
+REDUCTIONS = {
+    "cesaro_average": lambda a, b, mu, sys: cesaro_average(a),
+    "window_discrepancy": lambda a, b, mu, sys: _window_discrepancy(a, b, 3.9),
+    "verify_longtime": lambda a, b, mu, sys: verify_longtime(a, sys, r_obs=3.9),
+    "verify_l2_gradient_decay": lambda a, b, mu, sys: verify_l2_gradient_decay(a, mu, mu0=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_reductions_over_a_run_hold_a_few_states_not_the_run(name):
+    # beyond its inputs, each allocates less than a quarter of the run it
+    # reduces: a few states of 128, where a whole-run temporary is the run
+    (a, b), mu, sys = _long_runs()
+    reduce = REDUCTIONS[name]
+    reduce(a, b, mu, sys)       # first calls fill caches that are not the run's
+    tracemalloc.start()
+    try:
+        reduce(a, b, mu, sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.values.nbytes / 4, (peak, a.values.nbytes)

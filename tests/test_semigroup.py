@@ -2,6 +2,7 @@ import itertools
 import os
 import pickle
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -504,6 +505,20 @@ def test_window_discrepancy_pairs_nodes_by_coordinate(d):
     assert _window_discrepancy(trajs[1], trajs[0], r_obs) == reference
 
 
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_window_discrepancy_sees_every_stored_time(at):
+    # two runs on boxes of one h agree everywhere but at one window node at
+    # stored time `at`, where they differ by 0.25; off the window of the
+    # smaller box they differ by far more at every time
+    grids = [build_grid(1, 2.0, 21, "neumann"), build_grid(1, 3.0, 31, "neumann")]
+    values = [np.zeros((3, 2, g.n_nodes)) for g in grids]
+    values[0][at, 1, 13] = 0.25                 # x = 0.6
+    values[1][:, 0, [0, -1]] = 7.0              # x = -3 and 3
+    runs = [Trajectory(times=np.array([0.0, 0.1, 0.2]), values=v, grid=g, dt=0.1, theta=0.5,
+                       boundary_kind="neumann") for g, v in zip(grids, values)]
+    assert _window_discrepancy(runs[0], runs[1], 1.5) == 0.25
+
+
 def test_nested_rejects_bad_ladder():
     field = exchange2_field()
     with pytest.raises(ValueError):
@@ -554,6 +569,31 @@ def test_batched_evolve_equals_per_datum_bitwise(kind, theta):
             for f, traj in zip(data, batch):
                 alone = evolve(op, f, t_final=0.04, dt=2e-3, theta=theta, **store)
                 assert _same_trajectory(traj, alone), (k, store)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["batch", "stack"])
+def test_runs_of_one_evolve_call_own_their_states(stacked):
+    # a run kept from a batch or a stack keeps no other run's states alive
+    grid = build_grid(1, 6.0, 41, "neumann")
+    op = assemble_system_operator(exchange2_field(), grid)
+    data = [grid_function_from_callable(grid, lambda x, c=c: [np.tanh(c * x[..., 0]),
+                                                             np.exp(-c * x[..., 0] ** 2)])
+            for c in (1.0, 2.0, 3.0)]
+    if stacked:
+        wide = build_grid(1, 8.0, 55, "neumann")
+        wide_op = assemble_system_operator(exchange2_field(), wide)
+        wide_data = [grid_function_from_callable(wide, tanh_gauss) for _ in data]
+        runs = [r for rs in evolve([op, wide_op], [data, wide_data], 0.1, dt=1e-2) for r in rs]
+    else:
+        runs = evolve(op, data, 0.1, dt=1e-2)
+    assert not any(np.shares_memory(a.values, b.values)
+                   for a, b in itertools.combinations(runs, 2))
+    assert all(r.values.base.nbytes == r.values.nbytes for r in runs)
+    kept, kept_values = runs[0], runs[0].values.copy()
+    dropped = [weakref.ref(r.values.base) for r in runs[1:]]
+    del runs
+    assert all(ref() is None for ref in dropped)
+    assert np.array_equal(kept.values, kept_values)
 
 
 def test_block_step_columns_equal_vector_steps():
